@@ -7,9 +7,10 @@ base-field elements, scaled so the first nonzero entry in that order is
 1.  Semi-linear elements pair a matrix with a Frobenius exponent i,
 composing as (A, i) * (B, j) = (A * sigma^i(B), i + j mod rn).
 
-Orbits are materialized by applying every enumerated group element and
-deduplicating, which is simple and branch-free at desk scale; the
-per-seed cost is |PGL| polynomial transforms.
+Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
+orbit is materialized as the affine images of f and of the q reversed
+shifts of f: q(q+1) Taylor shifts plus table-driven scalings, not |PGL|
+full transforms (tests check it against the per-matrix transform).
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ def agl_enumerate(gf: GF2m):
         ia = gf.inv(a)
         for b in range(q):
             yield (1, mul(ia, b), 0, ia)
-
-
-def pgammal_enumerate(gf: GF2m, frob_order: int):
-    """All rn * (q^3 - q) semi-linear elements (A, i)."""
-    for mat in pgl_enumerate(gf):
-        for i in range(frob_order):
-            yield (mat, i)
 
 
 def pgammal_compose(gf: GF2m, frob_order: int, g: SemiLinear, h: SemiLinear) -> SemiLinear:
@@ -243,18 +237,51 @@ class Orbit:
         return f in self.members
 
 
+def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
+    """Coefficients of f(x + v), by repeated synthetic division."""
+    c = list(f)
+    if v:
+        mul = gf.mul
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] ^= mul(v, c[j + 1])
+    return c
+
+
 @lru_cache(maxsize=6)
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
+    """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
+    q, s = gf.order, gf.mult_order
+    if q > _ORBIT_GUARD_Q:
+        raise GuardError(f"orbit materialization guard: q={q} exceeds 2^16")
+    r = len(f) - 1
+    if r < 1 or f[r] != 1:
+        raise ValueError("action requires a monic polynomial of degree >= 1")
+    exp, log = gf._exp, gf._log
+    ones = [1] * s
+    # Members are collected highest coefficient first, where plain tuple
+    # order is poly_sort_key order (every member has degree r).
     members = set()
-    for mat in _pgl_list(gf):
-        members.add(act_poly(gf, mat, f))
-    return tuple(sorted(members, key=poly_sort_key))
+    # f(1/x + gamma) x^r is the reversal of f(x + gamma).
+    for h in [f] + [_taylor_shift(gf, f, gamma)[::-1] for gamma in range(q)]:
+        if h[r] == 0:
+            raise InternalCheckError(
+                "polynomial action dropped the degree: input reducible or arithmetic bug"
+            )
+        for v in range(q):
+            c = _taylor_shift(gf, h, v)
+            # x -> u x, made monic: c_j u^(j - r) / c_r for u = exp[k].
+            lead = log[c[r]]
+            cols = [
+                [exp[(log[cj] - lead + (j - r) * k) % s] for k in range(s)] if cj else [0] * s
+                for j, cj in enumerate(c[:r])
+            ]
+            members.update(zip(ones, *reversed(cols)))
+    return tuple(m[::-1] for m in sorted(members))
 
 
 def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
     """The PGL orbit of f under the substitution action, materialized."""
-    if gf.order > _ORBIT_GUARD_Q:
-        raise GuardError(f"orbit materialization guard: q={gf.order} exceeds 2^16")
     if not is_irreducible(gf, f) or f[-1] != 1:
         raise ValueError("orbit seeds must be monic irreducible")
     members = _pgl_orbit_members(gf, f)
@@ -262,9 +289,13 @@ def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
 
 
 def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
-    """All canonical A in PGL with A(f) = f; always contains the identity."""
-    if gf.order > _ORBIT_GUARD_Q:
-        raise GuardError(f"stabilizer scan guard: q={gf.order} exceeds 2^16")
+    """All canonical A in PGL with A(f) = f; always contains the identity.
+
+    By orbit-stabilizer the stabilizer is trivial exactly when the orbit
+    has full size q^3 - q; only smaller orbits are scanned per matrix.
+    """
+    if len(_pgl_orbit_members(gf, f)) == gf.order**3 - gf.order:
+        return [IDENTITY]
     return [mat for mat in _pgl_list(gf) if act_poly(gf, mat, f) == f]
 
 

@@ -54,35 +54,3 @@ def kernel_basis(rows: list[int], ncols: int) -> list[int]:
                 v |= 1 << pc
         basis.append(v)
     return basis
-
-
-def solve(rows: list[int], ncols: int, target: list[int]) -> int | None:
-    """Solve sum_j v_j * column_j = target.
-
-    `rows` here are the columns of the map expressed as bit vectors (the
-    image of each input basis vector); `target` is a single bit vector
-    packed as an int inside a one-element list for symmetry with rank
-    calls, or simply pass [t].  Returns the input vector v or None if
-    target is outside the span.
-    """
-    (t,) = target
-    # Augmented elimination: track which input combination built each row.
-    work = [(img, 1 << j) for j, img in enumerate(rows)]
-    combo = 0
-    for bit in range(max((img.bit_length() for img in rows), default=0), -1, -1):
-        mask = 1 << bit
-        pivot = None
-        for i, (img, src) in enumerate(work):
-            if img & mask:
-                pivot = work.pop(i)
-                break
-        if pivot is None:
-            continue
-        pimg, psrc = pivot
-        work = [(img ^ pimg, src ^ psrc) if img & mask else (img, src) for img, src in work]
-        if t & mask:
-            t ^= pimg
-            combo ^= psrc
-    if t:
-        return None
-    return combo

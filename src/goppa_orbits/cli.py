@@ -385,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact output has no size limit: lift Python's int-to-str digit cap
+    # (3.11+) while the command runs, and restore it for in-process callers.
+    saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (HypothesisError, GuardError) as exc:
@@ -396,6 +401,9 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

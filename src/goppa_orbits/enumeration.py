@@ -39,11 +39,6 @@ class BoundReport:
     pgl_term: Fraction
 
 
-def _mobius_power_sum(base: int, r: int) -> int:
-    """sum over d | r of mu(d) * base^(r/d)."""
-    return sum(intnt.mobius(d) * base ** (r // d) for d in intnt.divisors(r))
-
-
 def pgl_orbit_count_formula(params: Parameters) -> int:
     """|PGL \\ I_r| = (sum over d|r of mu(d) q^(r/d)) / (r q (q^2-1)).
 
@@ -52,7 +47,7 @@ def pgl_orbit_count_formula(params: Parameters) -> int:
     division is raised, never rounded.
     """
     r, q = params.r, params.q
-    total = _mobius_power_sum(q, r)
+    total = intnt.mobius_power_sum(q, r)
     denom = r * q * (q * q - 1)
     if total % denom:
         raise InternalCheckError(
@@ -78,8 +73,9 @@ def bound(params: Parameters) -> BoundReport:
     params.validate()
     n, r, q = params.n, params.r, params.q
     big_q = q * (q * q - 1)
-    s1 = sum(intnt.mobius(d) * (2 ** (r // d) - 1) for d in intnt.divisors(r))
-    s2 = _mobius_power_sum(q, r)
+    # sum over d | r of mu(d) is 1 at r = 1 and 0 otherwise.
+    s1 = intnt.mobius_power_sum(2, r) - (r == 1)
+    s2 = intnt.mobius_power_sum(q, r)
     numerator = (n - 1) * big_q * s1 + 6 * s2
     denominator = 6 * r * n * big_q
     if numerator % denominator:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitmat import kernel_basis
+from .bitmat import kernel_basis, row_reduce
 from .errors import GuardError
 from .intnt import factorize
 
@@ -315,31 +315,6 @@ def make_field(m: int) -> GF2m:
 # The tower GF(q) < GF(q^r)
 # ---------------------------------------------------------------------------
 
-class _XorBasis:
-    """Online GF(2) linear basis with preimage tracking, for unembedding."""
-
-    def __init__(self) -> None:
-        self._pivots: dict[int, tuple[int, int]] = {}
-
-    def insert(self, vec: int, tag: int) -> None:
-        vec, tag = self._reduce(vec, tag)
-        if vec:
-            self._pivots[vec.bit_length() - 1] = (vec, tag)
-
-    def _reduce(self, vec: int, tag: int) -> tuple[int, int]:
-        while vec:
-            hit = self._pivots.get(vec.bit_length() - 1)
-            if hit is None:
-                break
-            vec ^= hit[0]
-            tag ^= hit[1]
-        return vec, tag
-
-    def preimage(self, vec: int) -> int | None:
-        vec, tag = self._reduce(vec, 0)
-        return None if vec else tag
-
-
 class Tower:
     """GF(q) = GF(2^n) embedded in GF(q^r) = GF(2^(nr)).
 
@@ -362,10 +337,9 @@ class Tower:
         for _ in range(base.m - 1):
             wpows.append(ext.mul(wpows[-1], root))
         self._wpows = wpows
-        basis = _XorBasis()
-        for i, w in enumerate(wpows):
-            basis.insert(w, 1 << i)
-        self._unembed_basis = basis
+        # Each row carries the base element it embeds in the bits above ext.m.
+        rows = [w | 1 << (ext.m + i) for i, w in enumerate(wpows)]
+        self._unembed_rows = list(zip(*row_reduce(rows, ext.m)))
 
     def __repr__(self) -> str:
         return f"Tower(GF(2^{self.n}) < GF(2^{self.ext.m}))"
@@ -385,10 +359,13 @@ class Tower:
     def unembed(self, y: int) -> int:
         """Preimage of an extension element lying in the embedded base field."""
         self.ext._check(y)
-        a = self._unembed_basis.preimage(y)
-        if a is None:
+        for row, col in self._unembed_rows:
+            if (y >> col) & 1:
+                y ^= row
+        m = self.ext.m
+        if y & ((1 << m) - 1):
             raise ValueError("element is not in the embedded base field")
-        return a
+        return y >> m
 
     def frob_q(self, alpha: int, k: int = 1) -> int:
         """alpha^(q^k), the base-field Frobenius iterated k times."""
@@ -427,13 +404,6 @@ class Tower:
                 nxt[i] ^= ext.mul(t, c)
             poly = nxt
         return tuple(self.unembed(c) for c in poly)
-
-    def subfield_elements(self, d: int) -> list[int]:
-        """All elements of the subfield GF(2^d), i.e. roots of x^(2^d) + x.
-
-        Requires d | ext.m; returned sorted ascending.
-        """
-        return subfield_elements(self.ext, d)
 
 
 def subfield_elements(ext: GF2m, d: int) -> list[int]:

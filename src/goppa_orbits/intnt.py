@@ -1,8 +1,11 @@
 """Integer number theory: factorization, Möbius, Euler phi, orders.
 
-Factorization is Miller-Rabin plus Brent's cycle-finding rho, which is
-deterministic-in-practice and comfortably covers every 2^r - 1 this
-package ever factors (r <= 64), with no embedded factor tables.
+Factorization is Miller-Rabin plus Brent's cycle-finding rho, with no
+embedded factor tables.  The fixed Miller-Rabin bases (the primes up to
+37) are proven deterministic only below about 3.3e24 (the bound is
+3317044064679887385961981); above it a composite could in principle
+pass as prime.  What this package factors (degrees, and 2^k - 1 for
+k <= 64) lies far below that bound.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ def _rho(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as a sorted tuple of (prime, exponent)."""
+    """Prime factorization as a sorted tuple of (prime, exponent).
+
+    Exact for n below about 3.3e24, where the Miller-Rabin bases are
+    proven deterministic; beyond that a reported prime is only probable.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     factors: dict[int, int] = {}
@@ -93,6 +100,11 @@ def mobius(n: int) -> int:
             return 0
         result = -result
     return result
+
+
+def mobius_power_sum(base: int, r: int) -> int:
+    """sum over d | r of mu(d) * base^(r/d), exactly."""
+    return sum(mobius(d) * base ** (r // d) for d in divisors(r))
 
 
 def euler_phi(n: int) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GuardError, HypothesisError, InternalCheckError
-from .gf2field import GF2m, Tower, make_tower
+from .gf2field import GF2m, Tower, gf2_is_irreducible, make_field, subfield_elements
 from . import intnt
 from .intnt import euler_phi, mobius
 
@@ -45,10 +45,6 @@ def poly_from_coeffs(gf: GF2m, coeffs) -> Poly:
 def poly_degree(f: Poly) -> int:
     """Degree; the zero polynomial has degree -1."""
     return len(f) - 1
-
-
-def is_monic(f: Poly) -> bool:
-    return bool(f) and f[-1] == 1
 
 
 def poly_add(f: Poly, g: Poly) -> Poly:
@@ -228,7 +224,7 @@ def count_irreducibles(q: int, r: int) -> int:
     """|I_r| = (1/r) * sum over d | r of mu(d) q^(r/d), exactly."""
     if q < 2 or r < 1:
         raise ValueError("need q >= 2 and r >= 1")
-    total = sum(intnt.mobius(d) * q ** (r // d) for d in intnt.divisors(r))
+    total = intnt.mobius_power_sum(q, r)
     if total % r:
         raise InternalCheckError(f"Möbius sum {total} not divisible by r={r}")
     return total // r
@@ -251,8 +247,10 @@ def enumerate_irreducibles(gf: GF2m, r: int):
     coefficient vector, constant term least significant.
     """
     total = gf.order**r
-    if total > 1 << 30:
-        raise GuardError(f"enumeration of {gf.order}^{r} monic polynomials exceeds the 2^30 guard")
+    if total > 1 << 20:
+        raise GuardError(
+            f"enumeration of {gf.order}^{r} = 2^{gf.m * r} candidates exceeds the 2^20 guard"
+        )
     for idx in range(total):
         f = monic_by_index(gf, r, idx)
         if is_irreducible(gf, f):
@@ -335,37 +333,57 @@ def count_divisor_polys_mobius(r: int) -> int:
     """(1/r) * sum over d | r of mu(d) (2^(r/d) - 1), exactly."""
     if r < 1:
         raise ValueError("r must be positive")
-    total = sum(intnt.mobius(d) * (2 ** (r // d) - 1) for d in intnt.divisors(r))
+    # sum over d | r of mu(d) is 1 at r = 1 and 0 otherwise.
+    total = intnt.mobius_power_sum(2, r) - (r == 1)
     if total % r:
         raise InternalCheckError(f"Möbius sum {total} not divisible by r={r}")
     return total // r
 
 
-def divisor_polynomials(params: Parameters, tower: Tower | None = None) -> list[Poly]:
+def divisor_polynomials(params: Parameters) -> list[Poly]:
     """Monic irreducible degree-r polynomials over GF(q) dividing x^(2^r)+x.
 
-    Found by taking the minimal polynomial over GF(q) of every element of
-    the subfield GF(2^r) inside GF(2^(nr)) (those elements are exactly
-    the roots of x^(2^r) + x), keeping the degree-r results.  Sorted by
-    the standard polynomial order; each result is re-verified to divide
-    x^(2^r) + x.
+    A root of x^(2^r) + x of degree d over GF(2) has degree
+    d / gcd(d, n) over GF(q), so degree-r divisors exist only when
+    gcd(r, n) = 1, and then they are exactly the binary irreducibles of
+    degree r.  Those are found by scanning the 2^r bit-packed binary
+    candidates.  Sorted by the standard polynomial order; each result is
+    re-verified to divide x^(2^r) + x.
     """
     n, r = params.n, params.r
     if r > 30:
-        raise GuardError(f"divisor enumeration needs 2^{r} subfield elements; guard is r <= 30")
-    if tower is None:
-        tower = make_tower(n, r)
-    gf = tower.base
-    found = set()
-    for beta in tower.subfield_elements(r):
-        mp = tower.minimal_polynomial(beta)
-        if poly_degree(mp) == r:
-            found.add(mp)
+        raise GuardError(f"divisor enumeration needs 2^{r} binary candidates; guard is r <= 30")
+    if math.gcd(r, n) != 1:
+        return []
+    top = 1 << r
+    found = [
+        tuple((f >> i) & 1 for i in range(r + 1))
+        for f in range(top, 2 * top)
+        if gf2_is_irreducible(f)
+    ]
     result = sorted(found, key=poly_sort_key)
+    gf = make_field(n)
     for f in result:
         if not divides_x2r_plus_x(gf, f, r):
             raise InternalCheckError("divisor polynomial fails its defining divisibility")
     return result
+
+
+def divisor_polynomials_by_minpoly(tower: Tower) -> list[Poly]:
+    """The degree-r divisors of x^(2^r)+x over GF(q), through the tower.
+
+    The general route, kept as the reference for `divisor_polynomials`:
+    the minimal polynomials over GF(q) of the elements of the subfield
+    GF(2^r) of GF(q^r) (exactly the roots of x^(2^r) + x), keeping those
+    of degree r.  Sorted by the standard polynomial order.
+    """
+    r = tower.r
+    found = set()
+    for beta in subfield_elements(tower.ext, r):
+        mp = tower.minimal_polynomial(beta)
+        if poly_degree(mp) == r:
+            found.add(mp)
+    return sorted(found, key=poly_sort_key)
 
 
 def e_set(params: Parameters) -> list[int]:

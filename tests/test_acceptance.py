@@ -52,8 +52,8 @@ def params_5_7():
 
 
 @pytest.fixture(scope="module")
-def divisors_5_7(params_5_7, tower_5_7):
-    divs = divisor_polynomials(params_5_7, tower=tower_5_7)
+def divisors_5_7(params_5_7):
+    divs = divisor_polynomials(params_5_7)
     assert len(divs) == 18
     return divs
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_irreducible, random_matrix, random_semilinear
 from goppa_orbits.action import (
     IDENTITY,
+    _pgl_orbit_members,
     act_element,
     act_poly,
     act_poly_semilinear,
@@ -36,6 +37,7 @@ from goppa_orbits.polyq import (
     is_irreducible,
     poly_frobenius,
     poly_eval,
+    poly_sort_key,
 )
 
 
@@ -231,11 +233,38 @@ class TestOrbitsAndStabilizers:
             assert stab == [IDENTITY]
             assert pgl_orbit(gf8, f).size * len(stab) == 504
 
+    @pytest.mark.parametrize("m, r", [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 2), (3, 5), (3, 7), (4, 3)])
+    def test_orbit_and_stabilizer_match_per_matrix_scan(self, m, r, rng):
+        # the coset route against act_poly applied to every matrix, on
+        # random monic seeds: irreducible or not, stabilizer trivial or not
+        gf = make_field(m)
+        mats = list(pgl_enumerate(gf))
+        for _ in range(8):
+            f = tuple(rng.randrange(gf.order) for _ in range(r)) + (1,)
+            try:
+                images = {act_poly(gf, mat, f) for mat in mats}
+            except InternalCheckError:
+                with pytest.raises(InternalCheckError):
+                    _pgl_orbit_members(gf, f)
+                continue
+            assert _pgl_orbit_members(gf, f) == tuple(sorted(images, key=poly_sort_key))
+            assert stabilizer(gf, f) == [mat for mat in mats if act_poly(gf, mat, f) == f]
+
+    def test_nontrivial_stabilizers_match_scan(self, gf2, gf8):
+        # x^3 + x + 1 over GF(2) (|Stab| = 3) and x^7 + g over GF(8),
+        # fixed by x -> zeta x for every 7th root of unity zeta (|Stab| = 7)
+        cases = [(gf2, (1, 1, 0, 1)), (gf8, (2, 0, 0, 0, 0, 0, 0, 1))]
+        for gf, f in cases:
+            stab = stabilizer(gf, f)
+            assert len(stab) > 1
+            assert stab == [mat for mat in pgl_enumerate(gf) if act_poly(gf, mat, f) == f]
+            assert len(_pgl_orbit_members(gf, f)) * len(stab) == gf.order**3 - gf.order
+
 
 class TestSigmaRFixedOrbits:
-    def test_divisor_is_fixed_both_methods(self, tower_3_5):
+    def test_divisor_is_fixed_both_methods(self):
         params = Parameters(3, 5, strict=False)
-        divs = divisor_polynomials(params, tower=tower_3_5)
+        divs = divisor_polynomials(params)
         for f in divs:
             assert is_orbit_sigma_r_fixed(f, params, method="divisibility")
             assert is_orbit_sigma_r_fixed(f, params, method="direct")
@@ -248,22 +277,22 @@ class TestSigmaRFixedOrbits:
                 f, params, "direct"
             )
 
-    def test_exactly_one_fixed_orbit_at_3_5(self, tower_3_5):
+    def test_exactly_one_fixed_orbit_at_3_5(self):
         # 6 divisor polynomials / 6 per orbit
         params = Parameters(3, 5, strict=False)
-        divs = divisor_polynomials(params, tower=tower_3_5)
+        divs = divisor_polynomials(params)
         canonicals = {pgl_orbit(make_field(3), f).canonical for f in divs}
         assert len(canonicals) == 1
 
-    def test_count_divisors_in_orbit(self, tower_3_5):
+    def test_count_divisors_in_orbit(self):
         params = Parameters(3, 5, strict=False)
-        divs = divisor_polynomials(params, tower=tower_3_5)
+        divs = divisor_polynomials(params)
         for f in divs:
             assert count_divisors_in_orbit(f, params) == 6
 
-    def test_witness_matrices_produce_the_six(self, tower_3_5, gf8):
+    def test_witness_matrices_produce_the_six(self, gf8):
         params = Parameters(3, 5, strict=False)
-        divs = set(divisor_polynomials(params, tower=tower_3_5))
+        divs = set(divisor_polynomials(params))
         f = min(divs)
         images = {act_poly(gf8, mat, f) for mat in pgl2_binary_subgroup()}
         assert len(images) == 6

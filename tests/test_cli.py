@@ -1,10 +1,14 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import contextlib
 import json
+import sys
 
 import pytest
 
 from goppa_orbits.cli import main
+from goppa_orbits.enumeration import bound
+from goppa_orbits.polyq import Parameters
 
 GOLDEN_BOUND_JSON = """\
 {
@@ -60,6 +64,60 @@ class TestBoundCommand:
         _, first, _ = run(capsys, "bound", "--n", "7", "--r", "17", "--format", "json")
         _, second, _ = run(capsys, "bound", "--n", "7", "--r", "17", "--format", "json")
         assert first == second
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift Python's int-to-str digit cap (3.11+) inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestBigIntegerOutput:
+    """At (5, 10007) the bound has over 4300 digits, past Python's default
+    int-to-str cap; every format must still print it in full."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_full_row_at_5_10007(self, capsys, fmt):
+        limit_before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run(capsys, "bound", "--n", "5", "--r", "10007", "--format", fmt)
+        assert code == 0, err
+        if limit_before is not None:
+            assert sys.get_int_max_str_digits() == limit_before
+        rep = bound(Parameters(5, 10007))
+        with unlimited_int_str():
+            fixed, pgl, value = str(rep.fixed_orbit_count), str(rep.pgl_orbit_count), str(rep.bound)
+            fixed_term, pgl_term = str(rep.fixed_term), str(rep.pgl_term)
+            pgl_term_num = str(rep.pgl_term.numerator)
+        assert len(value) > 4300
+        if fmt == "csv":
+            assert out == f"n,r,q,fixed_orbits,pgl_orbits,bound\n5,10007,32,{fixed},{pgl},{value}\n"
+        elif fmt == "json":
+            payload = json.loads(out)
+            assert (payload["fixed_orbits"], payload["pgl_orbits"], payload["bound"]) == (fixed, pgl, value)
+            assert payload["terms"]["generic_orbit_term"]["numerator"] == pgl_term_num
+        else:
+            assert out == (
+                "n = 5, r = 10007, q = 2^5 = 32\n"
+                f"fixed orbit count   = {fixed}\n"
+                f"total PGL orbits    = {pgl}\n"
+                f"term breakdown      = {fixed_term} + {pgl_term}\n"
+                f"upper bound         = {value}\n"
+            )
+
+    def test_table_row_at_5_10007(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "5", "--r", "7,10007", "--format", "csv")
+        assert code == 0, err
+        with unlimited_int_str():
+            value = str(bound(Parameters(5, 10007)).bound)
+        assert out.splitlines()[2].endswith("," + value)
 
 
 class TestTableCommand:

@@ -125,11 +125,11 @@ class TestBruteForce:
 
 
 class TestGaloisOrbitSizes:
-    def test_sigma_r_orbit_sizes_are_1_or_n(self, gf32, tower_5_7, rng):
+    def test_sigma_r_orbit_sizes_are_1_or_n(self, gf32, rng):
         # follow sigma^r translates of PGL-orbits until they return:
         # the 3 fixed orbits return immediately, sampled others after n = 5
         params = Parameters(5, 7)
-        divisors = divisor_polynomials(params, tower=tower_5_7)
+        divisors = divisor_polynomials(params)
         seeds = [divisors[0], divisors[6], divisors[12]]
         seeds += [random_irreducible(gf32, 7, rng) for _ in range(20)]
         for f in seeds:

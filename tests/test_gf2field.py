@@ -21,7 +21,7 @@ from goppa_orbits.gf2field import (
     smallest_irreducible,
     subfield_elements,
 )
-from goppa_orbits.polyq import Parameters, divisor_polynomials
+from goppa_orbits.polyq import divisor_polynomials_by_minpoly
 
 
 # -- oracle: GF(2)[x] trial division on bit-packed ints ---------------------
@@ -286,9 +286,8 @@ def poly_eval_oracle(gf, f, a):
 
 class TestEmbeddingIndependence:
     def test_second_root_gives_identical_divisor_set(self):
-        params = Parameters(3, 5, strict=False)
-        first = divisor_polynomials(params, tower=make_tower(3, 5, root_choice=0))
-        second = divisor_polynomials(params, tower=make_tower(3, 5, root_choice=1))
+        first = divisor_polynomials_by_minpoly(make_tower(3, 5, root_choice=0))
+        second = divisor_polynomials_by_minpoly(make_tower(3, 5, root_choice=1))
         assert first == second
 
     def test_second_root_is_still_homomorphism(self):

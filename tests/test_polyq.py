@@ -7,16 +7,19 @@ so sieving products and complementing is independent of the library's
 Rabin-style test.
 """
 
+import math
+
 import pytest
 
 from goppa_orbits import intnt
 from goppa_orbits.errors import GuardError, HypothesisError, InternalCheckError
-from goppa_orbits.gf2field import make_field
+from goppa_orbits.gf2field import make_field, make_tower
 from goppa_orbits.polyq import (
     Parameters,
     count_divisor_polys_mobius,
     count_irreducibles,
     divisor_polynomials,
+    divisor_polynomials_by_minpoly,
     divides_x2r_plus_x,
     e_set,
     e_set_count,
@@ -30,6 +33,7 @@ from goppa_orbits.polyq import (
     poly_mod,
     poly_monic,
     poly_mul,
+    poly_degree,
     poly_order,
     poly_to_text,
     poly_sort_key,
@@ -131,6 +135,12 @@ class TestIrreducibility:
         with pytest.raises(GuardError):
             next(enumerate_irreducibles(gf32, 7))
 
+    def test_enumeration_guard_boundary(self, gf2):
+        # the guard sits at 2^20 candidates, as documented, and names the refused size
+        with pytest.raises(GuardError, match=r"2\^21 candidates"):
+            next(enumerate_irreducibles(gf2, 21))
+        assert poly_degree(next(enumerate_irreducibles(gf2, 20))) == 20
+
     def test_enumeration_is_sorted_and_unique(self, gf8):
         polys = list(enumerate_irreducibles(gf8, 2))
         keys = [poly_sort_key(f) for f in polys]
@@ -180,11 +190,10 @@ class TestPolyOrder:
         with pytest.raises(ValueError):
             poly_order(gf2, (0, 1))
 
-    def test_divisor_poly_orders_divide_mersenne(self, tower_5_7):
+    def test_divisor_poly_orders_divide_mersenne(self, gf32):
         params = Parameters(5, 7)
-        gf = tower_5_7.base
-        for f in divisor_polynomials(params, tower=tower_5_7):
-            assert (2**7 - 1) % poly_order(gf, f) == 0
+        for f in divisor_polynomials(params):
+            assert (2**7 - 1) % poly_order(gf32, f) == 0
 
     def test_order_criterion_equivalence_exhaustive(self, gf8):
         # f | x^(2^5) + x iff ord(f) | 2^5 - 1, over all of I_5
@@ -206,33 +215,48 @@ class TestPolyOrder:
 
 
 class TestDivisorPolynomials:
-    def test_count_5_7(self, tower_5_7):
-        divs = divisor_polynomials(Parameters(5, 7), tower=tower_5_7)
+    def test_count_5_7(self):
+        divs = divisor_polynomials(Parameters(5, 7))
         assert len(divs) == 18
 
-    def test_count_3_5(self, tower_3_5):
-        divs = divisor_polynomials(Parameters(3, 5, strict=False), tower=tower_3_5)
+    def test_count_3_5(self):
+        divs = divisor_polynomials(Parameters(3, 5, strict=False))
         assert len(divs) == 6
 
-    def test_each_divides_by_explicit_poly_mod(self, tower_3_5):
+    def test_each_divides_by_explicit_poly_mod(self, gf8):
         # materialize x^(2^5) + x and divide, the long way
-        gf = tower_3_5.base
         big = [0] * 33
         big[1] = 1
         big[32] = 1
         big = tuple(big)
-        divs = divisor_polynomials(Parameters(3, 5, strict=False), tower=tower_3_5)
+        divs = divisor_polynomials(Parameters(3, 5, strict=False))
         for f in divs:
-            assert poly_mod(gf, big, f) == ()
+            assert poly_mod(gf8, big, f) == ()
 
-    def test_no_other_irreducible_divides(self, tower_3_5, gf8):
-        divs = set(divisor_polynomials(Parameters(3, 5, strict=False), tower=tower_3_5))
+    def test_no_other_irreducible_divides(self, gf8):
+        divs = set(divisor_polynomials(Parameters(3, 5, strict=False)))
         for f in enumerate_irreducibles(gf8, 5):
             assert divides_x2r_plus_x(gf8, f, 5) == (f in divs)
 
-    def test_sorted_output(self, tower_5_7):
-        divs = divisor_polynomials(Parameters(5, 7), tower=tower_5_7)
+    def test_sorted_output(self):
+        divs = divisor_polynomials(Parameters(5, 7))
         assert divs == sorted(divs, key=poly_sort_key)
+
+    @pytest.mark.parametrize("n,r", [(3, 5), (3, 7), (5, 7), (7, 5), (3, 6), (2, 4)])
+    def test_matches_minimal_polynomial_route(self, n, r):
+        # binary-irreducible scan vs minimal polynomials through GF(2^(nr));
+        # at (3, 6) and (2, 4) gcd(r, n) > 1 and both sides are empty
+        expected = divisor_polynomials_by_minpoly(make_tower(n, r))
+        assert divisor_polynomials(Parameters(n, r, strict=False)) == expected
+        assert bool(expected) == (math.gcd(n, r) == 1)
+
+    def test_beyond_the_tower_ceiling(self):
+        # n r = 77 > 64: no tower exists here, the scan still answers
+        params = Parameters(7, 11)
+        with pytest.raises(GuardError):
+            make_tower(7, 11)
+        divs = divisor_polynomials(params)
+        assert len(divs) == 186 == count_divisor_polys_mobius(11) == e_set_count(params)
 
 
 class TestESet:
