@@ -229,11 +229,9 @@ class Orbit:
 
     canonical: Poly
     size: int
-    members: tuple[Poly, ...] | None = None
+    members: tuple[Poly, ...]
 
     def __contains__(self, f: Poly) -> bool:
-        if self.members is None:
-            raise ValueError("orbit members were not materialized")
         return f in self.members
 
 

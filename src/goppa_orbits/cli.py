@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: bound, table, verify, orbits, goppa, field-info.  Output
-formats: plain (default), json, csv.  Big integers are rendered as
-decimal strings in JSON since table values overflow 64 bits from r = 17
-on.  Output is deterministic: identical invocations produce identical
-bytes.
+formats: plain (default) and json everywhere, csv for bound, table and
+orbits.  Big integers are rendered as decimal strings in JSON since
+table values overflow 64 bits from r = 17 on.  Output is deterministic:
+identical invocations produce identical bytes.
 
 Exit status: 0 on success, 1 on hypothesis violations, bad arguments or
 guard ceilings (the message names the failed condition), 2 when an
@@ -160,11 +160,8 @@ def _cmd_verify(args) -> int:
             len(divisors) == expected,
             f"{len(divisors)} == {expected}",
         )
-        check(
-            "order-based count agrees",
-            e_set_count(params) == expected,
-            f"e_set_count = {e_set_count(params)}",
-        )
+        e_count = e_set_count(params)
+        check("order-based count agrees", e_count == expected, f"e_set_count = {e_count}")
         gf = make_field(params.n)
         remaining = set(divisors)
         orbits = 0
@@ -332,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="goppa-orbits", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    def add_format(p, csv=True):
+        choices = ("plain", "json", "csv") if csv else ("plain", "json")
+        p.add_argument("--format", choices=choices, default="plain")
 
     p = sub.add_parser("bound", help="exact inequivalent-code upper bound for one (n, r)")
     p.add_argument("--n", type=int, required=True)
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-domain-bits", type=int, default=None,
                    help="lower the enumeration guard (never raises the built-in ceiling)")
-    add_format(p)
+    add_format(p, csv=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("orbits", help="dump all PGL orbits of degree-r irreducibles")
@@ -370,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha", required=True,
                    help="hex representation of the defining element, or 'min'")
-    add_format(p)
+    add_format(p, csv=False)
     p.set_defaults(func=_cmd_goppa)
 
     p = sub.add_parser("field-info", help="describe GF(2^m) and its modulus")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--modulus", default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
-    add_format(p)
+    add_format(p, csv=False)
     p.set_defaults(func=_cmd_field_info)
 
     return parser

@@ -83,25 +83,19 @@ def gf2_invmod(a: int, mod: int) -> int:
 
 
 def gf2_is_irreducible(f: int) -> bool:
-    """Irreducibility over GF(2) of a bit-packed binary polynomial."""
+    """Irreducibility over GF(2) of a bit-packed binary polynomial.
+
+    Ben-Or's test: f of degree m is irreducible iff
+    gcd(x^(2^k) - x mod f, f) = 1 for every k = 1 .. m // 2.
+    """
     m = f.bit_length() - 1
     if m < 1:
         return False
-    if f & 1 == 0:
-        return m == 1  # divisible by x
-    # x^(2^m) == x mod f, and x^(2^(m/p)) != x mod f for every prime p | m.
     x_mod = gf2_mod(2, f)
     t = x_mod
-    powers = {}
-    for k in range(1, m + 1):
+    for _ in range(m // 2):
         t = gf2_mod(clmul(t, t), f)
-        powers[k] = t
-    if powers[m] != x_mod:
-        return False
-    for p, _ in factorize(m):
-        if p == m:
-            continue
-        if gf2_gcd(powers[m // p] ^ x_mod, f) != 1:
+        if gf2_gcd(t ^ x_mod, f) != 1:
             return False
     return True
 

@@ -191,31 +191,20 @@ def poly_sort_key(f: Poly):
 # ---------------------------------------------------------------------------
 
 def is_irreducible(gf: GF2m, f: Poly) -> bool:
-    """Irreducibility over GF(q) by the distinct-prime-power criterion.
+    """Irreducibility over GF(q) by Ben-Or's test.
 
-    f is irreducible of degree r iff x^(q^r) = x mod f and, for every
-    prime p | r, gcd(x^(q^(r/p)) - x mod f, f) = 1.
+    f of degree r is irreducible iff gcd(x^(q^k) - x mod f, f) = 1 for
+    every k = 1 .. r // 2; the loop stops at the first nontrivial gcd.
     """
     r = poly_degree(f)
     if r < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if f[0] == 0:
-        return r == 1  # divisible by x
-    n = gf.m
-    primes = [p for p, _ in intnt.factorize(r)]
-    needed = {r} | {r // p for p in primes}
-    qpow = {}
     x_mod = poly_mod(gf, X, f)
     t = x_mod
-    for k in range(1, r + 1):
-        for _ in range(n):
+    for _ in range(r // 2):
+        for _ in range(gf.m):
             t = poly_sqr_mod(gf, t, f)
-        if k in needed:
-            qpow[k] = t
-    if qpow[r] != x_mod:
-        return False
-    for p in primes:
-        if poly_degree(poly_gcd(gf, poly_add(qpow[r // p], x_mod), f)) != 0:
+        if poly_degree(poly_gcd(gf, poly_add(t, x_mod), f)) != 0:
             return False
     return True
 
@@ -351,10 +340,10 @@ def divisor_polynomials(params: Parameters) -> list[Poly]:
     re-verified to divide x^(2^r) + x.
     """
     n, r = params.n, params.r
-    if r > 30:
-        raise GuardError(f"divisor enumeration needs 2^{r} binary candidates; guard is r <= 30")
     if math.gcd(r, n) != 1:
         return []
+    if r > 16:
+        raise GuardError(f"divisor enumeration of 2^{r} binary candidates exceeds the 2^16 guard")
     top = 1 << r
     found = [
         tuple((f >> i) & 1 for i in range(r + 1))

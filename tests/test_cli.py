@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import re
 import sys
 
 import pytest
@@ -251,3 +252,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "bijection", "--n", "2", "--r", "3"],
+            ["goppa", "--n", "3", "--r", "2", "--alpha", "min"],
+            ["field-info", "--m", "3"],
+        ],
+    )
+    def test_csv_refused_where_not_implemented(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--format", "csv"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        # argparse quotes the choices on some Python versions and not on others
+        assert re.search(r"--format: invalid choice: .*\(choose from '?plain'?, '?json'?\)", captured.err)

@@ -4,7 +4,7 @@ The irreducibility counts are checked against a product-sieve oracle:
 every monic reducible of degree r is a product of a low-degree monic
 irreducible (degree <= r/2, found by root checks) and a monic cofactor,
 so sieving products and complementing is independent of the library's
-Rabin-style test.
+Ben-Or test.
 """
 
 import math
@@ -44,8 +44,8 @@ def _all_monic(gf, r):
     return [monic_by_index(gf, r, idx) for idx in range(gf.order**r)]
 
 
-def _oracle_irreducible_count(gf, r):
-    """Product-sieve count of monic irreducibles of degree r (r <= 5)."""
+def _oracle_reducibles(gf, r):
+    """Product-sieve set of the monic reducibles of degree r (r <= 5)."""
     assert r <= 5
     # low-degree irreducibles by root exhaustion (valid for degree <= 3)
     low = {1: [(a, 1) for a in range(gf.order)]}
@@ -60,7 +60,12 @@ def _oracle_irreducible_count(gf, r):
         for f in factors:
             for g in _all_monic(gf, r - d):
                 reducible.add(poly_mul(gf, f, g))
-    return gf.order**r - len(reducible)
+    return reducible
+
+
+def _oracle_irreducible_count(gf, r):
+    """Product-sieve count of monic irreducibles of degree r (r <= 5)."""
+    return gf.order**r - len(_oracle_reducibles(gf, r))
 
 
 class TestRingOps:
@@ -118,10 +123,24 @@ class TestIrreducibility:
         assert count_irreducibles(8, 2) == 28
 
     def test_quintic_count_oracle(self, gf8):
-        # the three routes: product sieve, Rabin-filtered enumeration, Möbius
+        # the three routes: product sieve, Ben-Or-filtered enumeration, Möbius
         assert _oracle_irreducible_count(gf8, 5) == 6552
-        assert sum(1 for _ in enumerate_irreducibles(gf8, 5)) == 6552
+        irreducibles = list(enumerate_irreducibles(gf8, 5))
+        assert len(irreducibles) == 6552
         assert count_irreducibles(8, 5) == 6552
+        # the same set, not only the same count
+        assert set(irreducibles) == set(_all_monic(gf8, 5)) - _oracle_reducibles(gf8, 5)
+
+    def test_quartic_set_oracle_over_gf4(self):
+        # r = 4 holds the squares g^2 of irreducible quadratics, caught only
+        # at the last step k = r/2 of the Ben-Or loop
+        gf4 = make_field(2)
+        reducible = _oracle_reducibles(gf4, 4)
+        squares = {poly_mul(gf4, g, g) for g in enumerate_irreducibles(gf4, 2)}
+        assert squares and squares <= reducible
+        assert not any(is_irreducible(gf4, f) for f in squares)
+        assert set(enumerate_irreducibles(gf4, 4)) == set(_all_monic(gf4, 4)) - reducible
+        assert _oracle_irreducible_count(gf4, 4) == count_irreducibles(4, 4)
 
     def test_binary_quadratic(self, gf2):
         assert list(enumerate_irreducibles(gf2, 2)) == [(1, 1, 1)]
@@ -257,6 +276,13 @@ class TestDivisorPolynomials:
             make_tower(7, 11)
         divs = divisor_polynomials(params)
         assert len(divs) == 186 == count_divisor_polys_mobius(11) == e_set_count(params)
+
+    def test_scan_guard(self):
+        # the scan stops at 2^16 binary candidates and names the refused size;
+        # with gcd(r, n) != 1 there is nothing to scan, so nothing is refused
+        with pytest.raises(GuardError, match=r"2\^17 binary candidates exceeds the 2\^16 guard"):
+            divisor_polynomials(Parameters(5, 17))
+        assert divisor_polynomials(Parameters(3, 18, strict=False)) == []
 
 
 class TestESet:
