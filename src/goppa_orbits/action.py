@@ -34,8 +34,7 @@ SemiLinear = tuple[Matrix, int]
 
 IDENTITY: Matrix = (1, 0, 0, 1)
 
-_ORBIT_GUARD_Q = 1 << 16
-_ELEMENT_ORBIT_GUARD_Q = 1 << 10
+_PGL_GUARD_BITS = 21
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +86,12 @@ def mat_frobenius(gf: GF2m, mat: Matrix, i: int) -> Matrix:
     return tuple(frob(e, i) for e in mat)
 
 
+def _check_pgl_guard(q: int) -> None:
+    """One ceiling for every sweep over PGL2(F_q): q^3 - q <= 2^21 (q <= 128)."""
+    if q**3 - q > 1 << _PGL_GUARD_BITS:
+        raise GuardError(f"|PGL2(F_{q})| = {q**3 - q} exceeds the 2^{_PGL_GUARD_BITS} guard")
+
+
 def pgl_enumerate(gf: GF2m):
     """Yield each canonical representative of PGL2(F_q) exactly once.
 
@@ -94,8 +99,7 @@ def pgl_enumerate(gf: GF2m):
     b=1 block; the total is q^3 - q.
     """
     q = gf.order
-    if q > _ORBIT_GUARD_Q:
-        raise GuardError(f"PGL enumeration guard: q={q} exceeds 2^16")
+    _check_pgl_guard(q)
     mul = gf.mul
     for b in range(q):
         for c in range(q):
@@ -114,8 +118,7 @@ def agl_enumerate(gf: GF2m):
     Yields q(q-1) matrices of the form (1, b/a, 0, 1/a).
     """
     q = gf.order
-    if q > _ORBIT_GUARD_Q:
-        raise GuardError(f"AGL enumeration guard: q={q} exceeds 2^16")
+    _check_pgl_guard(q)
     mul = gf.mul
     for a in range(1, q):
         ia = gf.inv(a)
@@ -250,11 +253,13 @@ def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
     q, s = gf.order, gf.mult_order
-    if q > _ORBIT_GUARD_Q:
-        raise GuardError(f"orbit materialization guard: q={q} exceeds 2^16")
+    _check_pgl_guard(q)
     r = len(f) - 1
-    if r < 1 or f[r] != 1:
-        raise ValueError("action requires a monic polynomial of degree >= 1")
+    if r < 2:
+        # A linear polynomial's root lies in F_q; some Möbius map sends it to infinity.
+        raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
+    if f[r] != 1:
+        raise ValueError("action requires a monic polynomial")
     exp, log = gf._exp, gf._log
     ones = [1] * s
     # Members are collected highest coefficient first, where plain tuple
@@ -284,6 +289,16 @@ def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
         raise ValueError("orbit seeds must be monic irreducible")
     members = _pgl_orbit_members(gf, f)
     return Orbit(canonical=members[0], size=len(members), members=members)
+
+
+def pgl_orbits(gf: GF2m, seeds):
+    """Yield each PGL orbit that the seeds meet, once, in seed order."""
+    seen: set[Poly] = set()
+    for f in seeds:
+        if f not in seen:
+            orbit = pgl_orbit(gf, f)
+            seen.update(orbit.members)
+            yield orbit
 
 
 def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
@@ -350,8 +365,7 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 
 def pgl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
     """PGL(alpha) under the Möbius action; alpha must have degree >= 2."""
-    if tower.base.order > _ELEMENT_ORBIT_GUARD_Q:
-        raise GuardError(f"element orbit guard: q={tower.base.order} exceeds 2^10")
+    _check_pgl_guard(tower.base.order)
     return frozenset(act_element(tower, (mat, 0), alpha) for mat in _pgl_list(tower.base))
 
 

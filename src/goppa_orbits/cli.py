@@ -8,7 +8,9 @@ identical invocations produce identical bytes.
 
 Exit status: 0 on success, 1 on hypothesis violations, bad arguments or
 guard ceilings (the message names the failed condition), 2 when an
-internal exactness assertion fails (an arithmetic bug, worth a report).
+internal exactness assertion fails (an arithmetic bug, worth a report;
+a failed `verify` names its failed checks).  On any failure stdout stays
+empty and the message goes to stderr.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import json
 import sys
 
 from . import enumeration, goppa
-from .action import Matrix, count_divisors_in_orbit, pgl2_binary_subgroup, pgl_orbit
+from .action import pgl2_binary_subgroup, pgl_orbits
 from .enumeration import BoundReport
-from .errors import GuardError, HypothesisError, InternalCheckError
+from .errors import GuardError, InternalCheckError
 from .gf2field import (
     GF2m,
     elem_to_bits,
@@ -32,7 +34,6 @@ from .gf2field import (
 )
 from .polyq import (
     Parameters,
-    Poly,
     count_divisor_polys_mobius,
     divisor_polynomials,
     e_set_count,
@@ -51,6 +52,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _NonNegative(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _report_row(rep: BoundReport) -> str:
@@ -80,57 +88,41 @@ def _report_json(rep: BoundReport) -> dict:
     }
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _mat_to_bits(gf: GF2m, mat: Matrix) -> list[str]:
-    return [elem_to_bits(e, gf.m) for e in mat]
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its output, a list of lines or a JSON object
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> list[str] | dict:
     rep = enumeration.bound(Parameters(args.n, args.r))
     if args.format == "json":
-        _emit_json(_report_json(rep))
-    elif args.format == "csv":
-        print(CSV_HEADER)
-        print(_report_row(rep))
-    else:
-        p = rep.params
-        print(f"n = {p.n}, r = {p.r}, q = 2^{p.n} = {p.q}")
-        print(f"fixed orbit count   = {rep.fixed_orbit_count}")
-        print(f"total PGL orbits    = {rep.pgl_orbit_count}")
-        print(f"term breakdown      = {rep.fixed_term} + {rep.pgl_term}")
-        print(f"upper bound         = {rep.bound}")
-    return 0
+        return _report_json(rep)
+    if args.format == "csv":
+        return [CSV_HEADER, _report_row(rep)]
+    p = rep.params
+    return [
+        f"n = {p.n}, r = {p.r}, q = 2^{p.n} = {p.q}",
+        f"fixed orbit count   = {rep.fixed_orbit_count}",
+        f"total PGL orbits    = {rep.pgl_orbit_count}",
+        f"term breakdown      = {rep.fixed_term} + {rep.pgl_term}",
+        f"upper bound         = {rep.bound}",
+    ]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> list[str] | dict:
     rows, rejected = enumeration.make_table(args.n, args.r_list)
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "rows": [_report_json(rep) for rep in rows],
-                "rejected": [{"r": r, "reason": reason} for r, reason in rejected],
-            }
-        )
-        return 0
+        return {
+            "n": args.n,
+            "rows": [_report_json(rep) for rep in rows],
+            "rejected": [{"r": r, "reason": reason} for r, reason in rejected],
+        }
     for r, reason in rejected:
         print(f"rejected r={r}: {reason}", file=sys.stderr)
     if args.format == "csv":
-        print(CSV_HEADER)
-        for rep in rows:
-            print(_report_row(rep))
-    else:
-        print(f"upper bounds for n = {args.n} (code length {2**args.n + 1})")
-        for rep in rows:
-            print(f"  r = {rep.params.r:<3d} bound = {rep.bound}")
-    return 0
+        return [CSV_HEADER] + [_report_row(rep) for rep in rows]
+    return [f"upper bounds for n = {args.n} (code length {2**args.n + 1})"] + [
+        f"  r = {rep.params.r:<3d} bound = {rep.bound}" for rep in rows
+    ]
 
 
 def _check_domain_guard(q: int, r: int, ceiling_bits: int, user_bits: int | None) -> None:
@@ -139,103 +131,67 @@ def _check_domain_guard(q: int, r: int, ceiling_bits: int, user_bits: int | None
         raise GuardError(f"domain size {q}^{r} exceeds the 2^{bits} enumeration guard")
 
 
-def _cmd_verify(args) -> int:
-    ok = True
-    checks: list[dict] = []
-
-    def check(label: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed
-        checks.append({"label": label, "passed": passed, "detail": detail})
-        if args.format != "json":
-            tail = f" ({detail})" if detail else ""
-            print(f"{'PASS' if passed else 'FAIL'}: {label}{tail}")
-
+def _cmd_verify(args) -> list[str] | dict:
+    # Each check is (label, passed, detail).
     if args.suite == "fixed-orbits":
         params = Parameters(args.n, args.r)
         divisors = divisor_polynomials(params)
         expected = count_divisor_polys_mobius(params.r)
-        check(
-            "divisor polynomial count matches the Möbius formula",
-            len(divisors) == expected,
-            f"{len(divisors)} == {expected}",
-        )
         e_count = e_set_count(params)
-        check("order-based count agrees", e_count == expected, f"e_set_count = {e_count}")
         gf = make_field(params.n)
-        remaining = set(divisors)
-        orbits = 0
-        per_orbit_ok = True
-        size_ok = True
-        while remaining:
-            seed = min(remaining)
-            orbit = pgl_orbit(gf, seed)
-            orbits += 1
-            inside = remaining & set(orbit.members)
-            per_orbit_ok &= len(inside) == 6
-            per_orbit_ok &= count_divisors_in_orbit(seed, params) == 6
-            size_ok &= orbit.size == gf.order**3 - gf.order
-            remaining -= inside
+        orbits = list(pgl_orbits(gf, divisors))
+        divisor_set = set(divisors)
         expected_orbits = enumeration.fixed_orbit_count_formula(params)
-        check("fixed orbit count", orbits == expected_orbits, f"{orbits} == {expected_orbits}")
-        check("each fixed orbit contains exactly 6 divisor polynomials", per_orbit_ok)
-        check("each fixed orbit has full size q^3 - q", size_ok)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "suite": "fixed-orbits",
-                    "n": args.n,
-                    "r": args.r,
-                    "divisor_polynomials": len(divisors),
-                    "fixed_orbits": orbits,
-                    "witness_matrices": [_mat_to_bits(gf, m) for m in pgl2_binary_subgroup()],
-                    "checks": checks,
-                    "passed": ok,
-                }
-            )
-    elif args.suite == "bijection":
+        checks = [
+            ("divisor polynomial count matches the Möbius formula", len(divisors) == expected,
+             f"{len(divisors)} == {expected}"),
+            ("order-based count agrees", e_count == expected, f"e_set_count = {e_count}"),
+            ("fixed orbit count", len(orbits) == expected_orbits, f"{len(orbits)} == {expected_orbits}"),
+            ("each fixed orbit contains exactly 6 divisor polynomials",
+             all(len(divisor_set.intersection(orbit.members)) == 6 for orbit in orbits), ""),
+            ("each fixed orbit has full size q^3 - q",
+             all(orbit.size == gf.order**3 - gf.order for orbit in orbits), ""),
+        ]
+        payload = {
+            "suite": "fixed-orbits",
+            "n": args.n,
+            "r": args.r,
+            "divisor_polynomials": len(divisors),
+            "fixed_orbits": len(orbits),
+            "witness_matrices": [[elem_to_bits(e, gf.m) for e in m] for m in pgl2_binary_subgroup()],
+        }
+    else:
         gf = make_field(args.n)
         _check_domain_guard(gf.order, args.r, 16, args.max_domain_bits)
         on_polys = enumeration.brute_force_orbit_count(gf, args.r, "PGammaL", "polynomials")
         on_elems = enumeration.brute_force_orbit_count(gf, args.r, "PGammaL", "elements")
-        check(
-            "semi-linear orbit counts agree on polynomials and elements",
-            on_polys == on_elems,
-            f"{on_polys} == {on_elems}",
-        )
-        if args.format == "json":
-            _emit_json(
-                {
-                    "suite": "bijection",
-                    "n": args.n,
-                    "r": args.r,
-                    "orbits_on_polynomials": on_polys,
-                    "orbits_on_elements": on_elems,
-                    "checks": checks,
-                    "passed": ok,
-                }
-            )
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    if not ok:
-        raise InternalCheckError(f"verification suite {args.suite!r} failed")
-    return 0
+        checks = [("semi-linear orbit counts agree on polynomials and elements", on_polys == on_elems,
+                   f"{on_polys} == {on_elems}")]
+        payload = {
+            "suite": "bijection",
+            "n": args.n,
+            "r": args.r,
+            "orbits_on_polynomials": on_polys,
+            "orbits_on_elements": on_elems,
+        }
+    texts = [f"{label} ({detail})" if detail else label for label, _, detail in checks]
+    failed = [text for text, (_, passed, _) in zip(texts, checks) if not passed]
+    if failed:
+        raise InternalCheckError(f"verification suite {args.suite!r} failed: {'; '.join(failed)}")
+    if args.format == "json":
+        payload["checks"] = [dict(zip(("label", "passed", "detail"), check)) for check in checks]
+        payload["passed"] = True
+        return payload
+    return [f"PASS: {text}" for text in texts]
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args) -> list[str] | dict:
     q = args.q
     if q < 2 or q & (q - 1):
         raise ValueError(f"q={q} must be a power of two, at least 2")
     gf = make_field(q.bit_length() - 1)
     _check_domain_guard(q, args.r, 20, args.max_domain_bits)
-    seen: set[Poly] = set()
-    orbits = []
-    for f in enumerate_irreducibles(gf, args.r):
-        if f in seen:
-            continue
-        orbit = pgl_orbit(gf, f)
-        orbits.append(orbit)
-        seen |= set(orbit.members)
+    orbits = list(pgl_orbits(gf, enumerate_irreducibles(gf, args.r)))
     if args.format == "json":
         payload = []
         for orbit in orbits:
@@ -247,20 +203,17 @@ def _cmd_orbits(args) -> int:
             if args.members:
                 entry["members"] = [poly_to_bits(gf, m) for m in orbit.members]
             payload.append(entry)
-        _emit_json({"q": q, "r": args.r, "orbit_count": len(orbits), "orbits": payload})
-    else:
-        if args.format == "csv":
-            print("canonical,size")
-            for orbit in orbits:
-                print(f"{''.join(poly_to_bits(gf, orbit.canonical))},{orbit.size}")
-        else:
-            print(f"{len(orbits)} orbits of PGL2(F_{q}) on degree-{args.r} irreducibles")
-            for orbit in orbits:
-                print(f"  size {orbit.size:<6d} canonical {poly_to_text(gf, orbit.canonical)}")
-    return 0
+        return {"q": q, "r": args.r, "orbit_count": len(orbits), "orbits": payload}
+    if args.format == "csv":
+        return ["canonical,size"] + [
+            f"{''.join(poly_to_bits(gf, orbit.canonical))},{orbit.size}" for orbit in orbits
+        ]
+    return [f"{len(orbits)} orbits of PGL2(F_{q}) on degree-{args.r} irreducibles"] + [
+        f"  size {orbit.size:<6d} canonical {poly_to_text(gf, orbit.canonical)}" for orbit in orbits
+    ]
 
 
-def _cmd_goppa(args) -> int:
+def _cmd_goppa(args) -> list[str] | dict:
     tower = make_tower(args.n, args.r)
     if args.alpha == "min":
         alpha = next(a for a in range(tower.ext.order) if tower.degree_over(a) == args.r)
@@ -274,31 +227,28 @@ def _cmd_goppa(args) -> int:
     code = goppa.code_from_orbit_element(tower, alpha)
     hist = goppa.weight_enumerator(code)
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "r": args.r,
-                "alpha": f"{alpha:x}",
-                "goppa_polynomial": poly_to_bits(tower.base, g),
-                "goppa_polynomial_text": poly_to_text(tower.base, g),
-                "length": code.length,
-                "dimension": code.dimension,
-                "generator_rows": [elem_to_bits(row, code.length) for row in code.generator],
-                "weight_enumerator": hist,
-            }
-        )
-    else:
-        print(f"extended code from alpha = 0x{alpha:x} over GF(2^{tower.ext.m})")
-        print(f"defining polynomial: {poly_to_text(tower.base, g)}")
-        print(f"length = {code.length}, dimension = {code.dimension}")
-        print("generator rows (coordinate 0 first):")
-        for row in code.generator:
-            print(f"  {elem_to_bits(row, code.length)}")
-        print(f"weight enumerator: {hist}")
-    return 0
+        return {
+            "n": args.n,
+            "r": args.r,
+            "alpha": f"{alpha:x}",
+            "goppa_polynomial": poly_to_bits(tower.base, g),
+            "goppa_polynomial_text": poly_to_text(tower.base, g),
+            "length": code.length,
+            "dimension": code.dimension,
+            "generator_rows": [elem_to_bits(row, code.length) for row in code.generator],
+            "weight_enumerator": hist,
+        }
+    return [
+        f"extended code from alpha = 0x{alpha:x} over GF(2^{tower.ext.m})",
+        f"defining polynomial: {poly_to_text(tower.base, g)}",
+        f"length = {code.length}, dimension = {code.dimension}",
+        "generator rows (coordinate 0 first):",
+        *(f"  {elem_to_bits(row, code.length)}" for row in code.generator),
+        f"weight enumerator: {hist}",
+    ]
 
 
-def _cmd_field_info(args) -> int:
+def _cmd_field_info(args) -> list[str] | dict:
     if args.modulus is not None:
         gf = GF2m(args.m, modulus_from_text(args.modulus))
     else:
@@ -312,13 +262,14 @@ def _cmd_field_info(args) -> int:
     if gf._log is not None:
         info["generator"] = elem_to_bits(gf.generator, gf.m)
     if args.format == "json":
-        _emit_json(info)
-    else:
-        print(f"GF(2^{gf.m}), {gf.order} elements")
-        print(f"modulus: {info['modulus_text']}  (bits, lowest degree first: {info['modulus_bits']})")
-        if "generator" in info:
-            print(f"multiplicative generator (bits): {info['generator']}")
-    return 0
+        return info
+    lines = [
+        f"GF(2^{gf.m}), {gf.order} elements",
+        f"modulus: {info['modulus_text']}  (bits, lowest degree first: {info['modulus_bits']})",
+    ]
+    if "generator" in info:
+        lines.append(f"multiplicative generator (bits): {info['generator']}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, csv=True):
         choices = ("plain", "json", "csv") if csv else ("plain", "json")
         p.add_argument("--format", choices=choices, default="plain")
+
+    def add_max_domain_bits(p):
+        p.add_argument("--max-domain-bits", type=int, default=None, action=_NonNegative,
+                       help="lower the enumeration guard (never raises the built-in ceiling)")
 
     p = sub.add_parser("bound", help="exact inequivalent-code upper bound for one (n, r)")
     p.add_argument("--n", type=int, required=True)
@@ -349,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("fixed-orbits", "bijection"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-domain-bits", type=int, default=None,
-                   help="lower the enumeration guard (never raises the built-in ceiling)")
+    add_max_domain_bits(p)
     add_format(p, csv=False)
     p.set_defaults(func=_cmd_verify)
 
@@ -358,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--members", action="store_true", help="include full member lists (json)")
-    p.add_argument("--max-domain-bits", type=int, default=None,
-                   help="lower the enumeration guard (never raises the built-in ceiling)")
+    add_max_domain_bits(p)
     add_format(p)
     p.set_defaults(func=_cmd_orbits)
 
@@ -381,18 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Exact output has no size limit: lift Python's int-to-str digit cap
     # (3.11+) while the command runs, and restore it for in-process callers.
     saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if saved_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (HypothesisError, GuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # Build the whole output first, so a failure leaves stdout empty.
+        result = args.func(args)
+        lines = [json.dumps(result, indent=2)] if isinstance(result, dict) else result
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return 0
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -125,6 +125,8 @@ def brute_force_orbit_count(
     deterministic.  group is "PGL" or "PGammaL"; domain is "polynomials"
     (all of I_r) or "elements" (all extension elements of degree r).
     """
+    if r < 2:
+        raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
     if group not in ("PGL", "PGammaL"):
         raise ValueError(f"unknown group {group!r}")
     n = gf.m

@@ -25,12 +25,13 @@ from goppa_orbits.action import (
     pgl_element_orbit,
     pgl_enumerate,
     pgl_orbit,
+    pgl_orbits,
     pgammal_compose,
     pgammal_inverse,
     stabilizer,
 )
-from goppa_orbits.errors import InternalCheckError
-from goppa_orbits.gf2field import make_field
+from goppa_orbits.errors import GuardError, InternalCheckError
+from goppa_orbits.gf2field import make_field, make_tower
 from goppa_orbits.polyq import (
     Parameters,
     divisor_polynomials,
@@ -65,6 +66,24 @@ class TestGroupEnumeration:
         assert len(agl8) == 8 * 7 == 56
         assert 504 // 56 == 8 + 1
         assert agl8 <= set(pgl_enumerate(gf8))
+
+    def test_one_pgl_guard_admits_q_128_refuses_q_256(self):
+        # |PGL2(F_q)| = q^3 - q <= 2^21: every sweep over the group refuses
+        # q = 256 before doing any work
+        assert next(pgl_enumerate(make_field(7))) == IDENTITY
+        gf256 = make_field(8)
+        f = (32, 1, 1)  # an irreducible quadratic over GF(256)
+        assert is_irreducible(gf256, f)
+        refused = [
+            lambda: next(pgl_enumerate(gf256)),
+            lambda: next(agl_enumerate(gf256)),
+            lambda: pgl_orbit(gf256, f),
+            lambda: stabilizer(gf256, f),
+            lambda: pgl_element_orbit(make_tower(8, 2), 1 << 8),
+        ]
+        for call in refused:
+            with pytest.raises(GuardError, match=r"\|PGL2\(F_256\)\| = 16776960 exceeds the 2\^21 guard"):
+                call()
 
     def test_agl_closed_under_product(self, gf8, rng):
         agl8 = list(agl_enumerate(gf8))
@@ -225,6 +244,21 @@ class TestOrbitsAndStabilizers:
     def test_reducible_seed_rejected(self, gf8):
         with pytest.raises(ValueError):
             pgl_orbit(gf8, (0, 1, 1))
+
+    def test_linear_seed_rejected(self, gf8):
+        # the root of x + 3 lies in F_8, and some Möbius map sends it to infinity
+        with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
+            pgl_orbit(gf8, (3, 1))
+
+    def test_pgl_orbits_yields_each_met_orbit_once_in_seed_order(self, gf8, rng):
+        seeds = [random_irreducible(gf8, 5, rng) for _ in range(4)]
+        seeds += [act_poly(gf8, random_matrix(gf8, rng), f) for f in seeds]
+        expected = []
+        for f in seeds:
+            if not any(f in orbit for orbit in expected):
+                expected.append(pgl_orbit(gf8, f))
+        assert list(pgl_orbits(gf8, seeds)) == expected
+        assert list(pgl_orbits(gf8, [])) == []
 
     def test_stabilizer_trivial_sampled(self, gf8, rng):
         for _ in range(5):

@@ -4,9 +4,11 @@ import contextlib
 import json
 import re
 import sys
+import time
 
 import pytest
 
+from goppa_orbits import enumeration
 from goppa_orbits.cli import main
 from goppa_orbits.enumeration import bound
 from goppa_orbits.polyq import Parameters
@@ -170,6 +172,31 @@ class TestVerifyCommand:
         assert code == 1
         assert "odd prime" in err
 
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_failed_check_names_itself_and_leaves_stdout_empty(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(enumeration, "fixed_orbit_count_formula", lambda params: 4)
+        code, out, err = run(
+            capsys,
+            "verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "internal check failed: verification suite 'fixed-orbits' failed: fixed orbit count (3 == 4)\n"
+
+    def test_linear_degree_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "1")
+        assert (code, out) == (1, "")
+        assert "degree r >= 2, got r = 1" in err
+
+    def test_negative_domain_bits_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite", "bijection", "--n", "2", "--r", "3", "--max-domain-bits", "-5"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "argument --max-domain-bits: must be >= 0, got -5" in captured.err
+
     def test_domain_guard_can_be_lowered(self, capsys):
         code, _, err = run(
             capsys,
@@ -194,6 +221,20 @@ class TestOrbitsCommand:
         )
         payload = json.loads(out)
         assert len(payload["orbits"][0]["members"]) == 2
+
+    @pytest.mark.parametrize("q", ["2", "8"])
+    def test_linear_degree_exits_1(self, capsys, q):
+        code, out, err = run(capsys, "orbits", "--q", q, "--r", "1")
+        assert (code, out) == (1, "")
+        assert "degree r >= 2, got r = 1" in err
+
+    def test_pgl_guard_refuses_q_1024_at_once(self, capsys):
+        # q^r = 2^20 passes the domain guard; the orbit would need 2^30 transforms
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbits", "--q", "1024", "--r", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "error: |PGL2(F_1024)| = 1073740800 exceeds the 2^21 guard\n"
 
     def test_non_power_of_two_rejected(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "6", "--r", "2")

@@ -117,6 +117,11 @@ class TestBruteForce:
         with pytest.raises(GuardError):
             brute_force_orbit_count(gf32, 4, "PGL", "elements")
 
+    def test_linear_degree_rejected(self, gf8):
+        for domain in ("polynomials", "elements"):
+            with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
+                brute_force_orbit_count(gf8, 1, "PGammaL", domain)
+
     def test_unknown_inputs(self, gf2):
         with pytest.raises(ValueError):
             brute_force_orbit_count(gf2, 3, "GL", "polynomials")
