@@ -42,37 +42,27 @@ _PGL_GUARD_BITS = 21
 # ---------------------------------------------------------------------------
 
 def mat_det(gf: GF2m, mat: Matrix) -> int:
+    gf._check(*mat)
     a, b, c, d = mat
-    return gf.mul(a, d) ^ gf.mul(b, c)
+    return gf.rows[a][d] ^ gf.rows[b][c]
 
 
 def mat_canonical(gf: GF2m, mat: Matrix) -> Matrix:
     """Scale so the first nonzero entry of (a, b, c, d) equals 1."""
     if mat_det(gf, mat) == 0:
         raise ValueError(f"matrix {mat} is singular")
-    for entry in mat:
-        if entry:
-            if entry == 1:
-                return mat
-            s = gf.inv(entry)
-            mul = gf.mul
-            return tuple(mul(s, e) for e in mat)
-    raise AssertionError("unreachable: nonsingular matrix has a nonzero entry")
+    lead = next(e for e in mat if e)
+    if lead == 1:
+        return mat
+    rs = gf.rows[gf.inv(lead)]
+    return tuple(rs[e] for e in mat)
 
 
 def mat_mul(gf: GF2m, x: Matrix, y: Matrix) -> Matrix:
-    a, b, c, d = x
+    gf._check(*x, *y)
+    a, b, c, d = (gf.rows[e] for e in x)
     t, u, v, w = y
-    mul = gf.mul
-    return mat_canonical(
-        gf,
-        (
-            mul(a, t) ^ mul(b, v),
-            mul(a, u) ^ mul(b, w),
-            mul(c, t) ^ mul(d, v),
-            mul(c, u) ^ mul(d, w),
-        ),
-    )
+    return mat_canonical(gf, (a[t] ^ b[v], a[u] ^ b[w], c[t] ^ d[v], c[u] ^ d[w]))
 
 
 def mat_inv(gf: GF2m, mat: Matrix) -> Matrix:
@@ -100,10 +90,9 @@ def pgl_enumerate(gf: GF2m):
     """
     q = gf.order
     _check_pgl_guard(q)
-    mul = gf.mul
     for b in range(q):
         for c in range(q):
-            bc = mul(b, c)
+            bc = gf.rows[b][c]
             for d in range(q):
                 if d != bc:
                     yield (1, b, c, d)
@@ -119,11 +108,10 @@ def agl_enumerate(gf: GF2m):
     """
     q = gf.order
     _check_pgl_guard(q)
-    mul = gf.mul
     for a in range(1, q):
         ia = gf.inv(a)
         for b in range(q):
-            yield (1, mul(ia, b), 0, ia)
+            yield (1, gf.rows[ia][b], 0, ia)
 
 
 def pgammal_compose(gf: GF2m, frob_order: int, g: SemiLinear, h: SemiLinear) -> SemiLinear:
@@ -174,37 +162,33 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     dropped degree raises since it can only mean a reducible input or an
     arithmetic bug.
     """
+    gf._check(*mat, *f)
     r = len(f) - 1
     if r < 1 or f[r] != 1:
         raise ValueError("action requires a monic polynomial of degree >= 1")
-    a, b, c, d = mat
+    ra, rb, rc, rd = (gf.rows[e] for e in mat)
     if frob % gf.m:
         f = poly_frobenius(gf, f, frob)
-    mul = gf.mul
     # Ladder of (a + cx)^k, k = 0..r.
-    vpows = [(1,)]
-    cur = (1,)
+    vpows = [[1]]
     for _ in range(r):
-        nxt = [0] * (len(cur) + 1)
-        for i, t in enumerate(cur):
-            if t:
-                nxt[i] ^= mul(t, a)
-                nxt[i + 1] ^= mul(t, c)
-        cur = tuple(nxt)
-        vpows.append(cur)
+        nxt = [0] * (len(vpows[-1]) + 1)
+        for i, t in enumerate(vpows[-1]):
+            nxt[i] ^= ra[t]
+            nxt[i + 1] ^= rc[t]
+        vpows.append(nxt)
     # Horner in (b + dx): res <- res*(b + dx) + f_j*(a + cx)^(r-j).
     res = [f[r]]
     for j in range(r - 1, -1, -1):
         nxt = [0] * (len(res) + 1)
         for i, t in enumerate(res):
-            if t:
-                nxt[i] ^= mul(t, b)
-                nxt[i + 1] ^= mul(t, d)
+            nxt[i] ^= rb[t]
+            nxt[i + 1] ^= rd[t]
         fj = f[j]
         if fj:
+            rf = gf.rows[fj]
             for i, t in enumerate(vpows[r - j]):
-                if t:
-                    nxt[i] ^= mul(fj, t)
+                nxt[i] ^= rf[t]
         res = nxt
     lead = res[r]
     if lead == 0:
@@ -212,8 +196,8 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
             "polynomial action dropped the degree: input reducible or arithmetic bug"
         )
     if lead != 1:
-        il = gf.inv(lead)
-        res = [mul(il, t) for t in res]
+        ril = gf.rows[gf.inv(lead)]
+        res = [ril[t] for t in res]
     return tuple(res)
 
 
@@ -242,10 +226,10 @@ def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
     """Coefficients of f(x + v), by repeated synthetic division."""
     c = list(f)
     if v:
-        mul = gf.mul
+        rv = gf.rows[v]
         for i in range(len(c) - 1):
             for j in range(len(c) - 2, i - 1, -1):
-                c[j] ^= mul(v, c[j + 1])
+                c[j] ^= rv[c[j + 1]]
     return c
 
 
@@ -254,6 +238,7 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
     q, s = gf.order, gf.mult_order
     _check_pgl_guard(q)
+    gf._check(*f)
     r = len(f) - 1
     if r < 2:
         # A linear polynomial's root lies in F_q; some Möbius map sends it to infinity.

@@ -276,6 +276,13 @@ def _cmd_field_info(args) -> list[str] | dict:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers such as 5,7,11, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="goppa-orbits", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="bounds for one n and a list of degrees")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", dest="r_list", type=lambda s: [int(x) for x in s.split(",")], required=True)
+    p.add_argument("--r", dest="r_list", type=_int_list, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_table)
 

@@ -7,7 +7,9 @@ are immutable after construction and safe to share.
 
 Multiplication is carry-less multiply followed by modular reduction.
 Fields with m <= 16 additionally build exp/log tables over a fixed
-primitive element, which the orbit machinery leans on heavily.
+primitive element.  `rows` is the unchecked product table, rows[a][b] =
+a*b (lists for m <= 8, computed on demand above), for the hot loops of
+polyq and action; their public functions check operands once per call.
 
 Deterministic choices, documented so runs are reproducible everywhere:
 
@@ -30,6 +32,7 @@ from .intnt import factorize
 
 MAX_DEGREE = 64
 _TABLE_DEGREE = 16
+_ROW_TABLE_DEGREE = 8
 _ROOT_SCAN_DEGREE = 16
 
 
@@ -185,6 +188,7 @@ class GF2m:
         self._log: list[int] | None = None
         if m <= _TABLE_DEGREE:
             self._build_tables()
+        self.rows = self._build_rows() if m <= _ROW_TABLE_DEGREE else _ComputedRows(self._product)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, modulus={modulus_to_text(self.modulus)})"
@@ -208,6 +212,10 @@ class GF2m:
         self.generator = g
         self._exp = exp
         self._log = log
+
+    def _build_rows(self) -> list[list[int]]:
+        exp, logs = self._exp, self._log[1:]
+        return [[0] * self.order] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     def _find_generator(self) -> int:
         s = self.mult_order
@@ -241,6 +249,9 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
+        return self._product(a, b)
+
+    def _product(self, a: int, b: int) -> int:
         if self._exp is not None:
             if a == 0 or b == 0:
                 return 0
@@ -248,11 +259,8 @@ class GF2m:
         return self._mul_raw(a, b)
 
     def square(self, a: int) -> int:
-        if self._exp is not None:
-            if a == 0:
-                return 0
-            return self._exp[2 * self._log[a]]
-        return self._mul_raw(a, a)
+        self._check(a)
+        return self._product(a, a)
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -280,16 +288,15 @@ class GF2m:
         self._check(a)
         k %= self.m
         for _ in range(k):
-            a = self.square(a)
+            a = self._product(a, a)
         return a
 
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2): a + a^2 + a^4 + ... + a^(2^(m-1))."""
         self._check(a)
-        acc = a
-        t = a
+        acc = t = a
         for _ in range(self.m - 1):
-            t = self.square(t)
+            t = self._product(t, t)
             acc ^= t
         if acc not in (0, 1):
             raise AssertionError("trace landed outside GF(2)")
@@ -297,6 +304,21 @@ class GF2m:
 
     def elements(self) -> range:
         return range(self.order)
+
+
+class _ComputedRows:
+    """`GF2m.rows` for m > 8, where a list table would be too large: rows[a]
+    is this object with `a` set, whose [b] is a*b by `GF2m._product`."""
+
+    __slots__ = ("product", "a")
+
+    def __init__(self, product, a=None):
+        self.product, self.a = product, a
+
+    def __getitem__(self, b: int):
+        if self.a is None:
+            return _ComputedRows(self.product, b)
+        return self.product(self.a, b)
 
 
 @lru_cache(maxsize=None)
@@ -383,7 +405,6 @@ class Tower:
         degree is degree_over(alpha).
         """
         self.ext._check(alpha)
-        ext = self.ext
         conjugates = [alpha]
         beta = self.frob_q(alpha)
         while beta != alpha:
@@ -391,12 +412,9 @@ class Tower:
             beta = self.frob_q(beta)
         poly = [1]
         for c in conjugates:
-            # multiply by (x + c)
-            nxt = [0] * (len(poly) + 1)
-            for i, t in enumerate(poly):
-                nxt[i + 1] ^= t
-                nxt[i] ^= ext.mul(t, c)
-            poly = nxt
+            # multiply by (x + c): zip pairs p_i with p_(i-1)
+            rc = self.ext.rows[c]
+            poly = [rc[s] ^ t for s, t in zip(poly + [0], [0] + poly)]
         return tuple(self.unembed(c) for c in poly)
 
 
@@ -431,9 +449,7 @@ def _eval_gf2poly(gf: GF2m, poly: int, at: int) -> int:
     """Evaluate a GF(2)-coefficient polynomial at a point of gf (Horner)."""
     acc = 0
     for i in range(poly.bit_length() - 1, -1, -1):
-        acc = gf.mul(acc, at)
-        if (poly >> i) & 1:
-            acc ^= 1
+        acc = gf.mul(acc, at) ^ (poly >> i) & 1
     return acc
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .bitmat import kernel_basis, rank
 from .errors import GuardError, InternalCheckError
 from .gf2field import Tower
-from .polyq import Poly, is_irreducible, poly_add, poly_degree, poly_invmod, poly_mod
+from .polyq import Poly, is_irreducible, poly_add, poly_degree, poly_eval, poly_invmod, poly_mod
 
 _LENGTH_GUARD = 1 << 10
 _WEIGHT_ENUM_DIM_GUARD = 24
@@ -78,12 +78,7 @@ class GoppaSpec:
         r = poly_degree(self.g)
         if r < 2 or self.g[-1] != 1 or not is_irreducible(gf, self.g):
             raise ValueError("the defining polynomial must be monic irreducible of degree >= 2")
-        embedded = tuple(self.tower.embed(c) for c in self.g)
-        acc = 0
-        ext = self.tower.ext
-        for c in reversed(embedded):
-            acc = ext.mul(acc, self.alpha) ^ c
-        if acc != 0:
+        if poly_eval(self.tower.ext, tuple(map(self.tower.embed, self.g)), self.alpha) != 0:
             raise ValueError("alpha is not a root of the defining polynomial")
 
     @property

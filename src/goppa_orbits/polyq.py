@@ -35,8 +35,7 @@ X: Poly = (0, 1)
 def poly_from_coeffs(gf: GF2m, coeffs) -> Poly:
     """Normalize a coefficient sequence (lowest degree first)."""
     c = list(coeffs)
-    for a in c:
-        gf._check(a)
+    gf._check(*c)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -59,47 +58,44 @@ def poly_add(f: Poly, g: Poly) -> Poly:
 
 
 def poly_scale(gf: GF2m, c: int, f: Poly) -> Poly:
-    if c == 0:
-        return ZERO
-    if c == 1:
-        return f
-    mul = gf.mul
-    return tuple(mul(c, a) for a in f)
+    gf._check(c, *f)
+    rc = gf.rows[c]
+    return tuple(rc[a] for a in f) if c else ZERO
 
 
 def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
+    gf._check(*f, *g)
     if not f or not g:
         return ZERO
-    mul = gf.mul
+    rows = gf.rows
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] ^= mul(a, b)
+            ra = rows[a]
+            for j, b in enumerate(g, i):
+                out[j] ^= ra[b]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
 def poly_divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    gf._check(*f, *g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return ZERO, f
-    mul = gf.mul
-    inv_lead = gf.inv(g[-1])
+    rows = gf.rows
+    r_inv_lead = rows[gf.inv(g[-1])]
     rem = list(f)
     dg = len(g) - 1
     quot = [0] * (len(f) - dg)
-    for top in range(len(f) - 1, dg - 1, -1):
-        c = rem[top]
+    for lo in range(len(quot) - 1, -1, -1):
+        c = quot[lo] = r_inv_lead[rem[lo + dg]]
         if c:
-            c = mul(c, inv_lead)
-            quot[top - dg] = c
-            for j, b in enumerate(g):
-                if b:
-                    rem[top - dg + j] ^= mul(c, b)
+            rc = rows[c]
+            for j, b in enumerate(g, lo):
+                rem[j] ^= rc[b]
     while rem and rem[-1] == 0:
         rem.pop()
     while quot and quot[-1] == 0:
@@ -113,6 +109,7 @@ def poly_mod(gf: GF2m, f: Poly, g: Poly) -> Poly:
 
 def poly_monic(gf: GF2m, f: Poly) -> Poly:
     """Scale to leading coefficient 1 (zero polynomial stays zero)."""
+    gf._check(*f)
     if not f or f[-1] == 1:
         return f
     return poly_scale(gf, gf.inv(f[-1]), f)
@@ -126,10 +123,11 @@ def poly_gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
 
 
 def poly_eval(gf: GF2m, f: Poly, a: int) -> int:
-    mul = gf.mul
+    gf._check(a, *f)
+    ra = gf.rows[a]
     acc = 0
     for c in reversed(f):
-        acc = mul(acc, a) ^ c
+        acc = ra[acc] ^ c
     return acc
 
 
@@ -148,15 +146,12 @@ def poly_invmod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
 
 def poly_sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
     """f^2 mod `mod`; cross terms vanish in characteristic 2."""
+    gf._check(*f)
     if not f:
         return ZERO
-    sq = gf.square
+    rows = gf.rows
     out = [0] * (2 * len(f) - 1)
-    for i, a in enumerate(f):
-        if a:
-            out[2 * i] = sq(a)
-    while out and out[-1] == 0:
-        out.pop()
+    out[::2] = [rows[a][a] for a in f]
     return poly_mod(gf, tuple(out), mod)
 
 
@@ -235,6 +230,8 @@ def enumerate_irreducibles(gf: GF2m, r: int):
     The index order is ascending base-q value of the non-leading
     coefficient vector, constant term least significant.
     """
+    if r < 1:
+        raise ValueError(f"irreducible enumeration needs degree r >= 1, got r = {r}")
     total = gf.order**r
     if total > 1 << 20:
         raise GuardError(

@@ -204,6 +204,20 @@ class TestPolyAction:
         with pytest.raises(ValueError):
             act_poly(gf8, IDENTITY, (1, 1, 2))
 
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_non_elements_rejected(self, gf8, bad):
+        # rows[-1] would silently read the last row: every entry point checks
+        f = (3, 1, 0, 1)
+        for call in (
+            lambda: act_poly(gf8, IDENTITY, (bad, 1, 0, 1)),
+            lambda: act_poly(gf8, (1, bad, 0, 1), f),
+            lambda: act_poly(gf8, (1, 0, 0, bad), f),
+            lambda: pgl_orbit(gf8, (bad, 1, 0, 1)),
+            lambda: stabilizer(gf8, (bad, 1, 0, 1)),
+        ):
+            with pytest.raises(ValueError, match="is not an element of GF"):
+                call()
+
     def test_degree_drop_raises(self, gf8):
         # (x + 1) * x is reducible with roots in F_q; a matrix sending a
         # root to infinity drops the degree and must raise

@@ -228,6 +228,12 @@ class TestOrbitsCommand:
         assert (code, out) == (1, "")
         assert "degree r >= 2, got r = 1" in err
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_non_positive_degree_exits_1(self, capsys, r):
+        code, out, err = run(capsys, "orbits", "--q", "2", "--r", r)
+        assert (code, out) == (1, "")
+        assert err == f"error: irreducible enumeration needs degree r >= 1, got r = {r}\n"
+
     def test_pgl_guard_refuses_q_1024_at_once(self, capsys):
         # q^r = 2^20 passes the domain guard; the orbit would need 2^30 transforms
         start = time.perf_counter()
@@ -293,6 +299,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 1
+
+    def test_malformed_degree_list_says_what_a_list_is(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "--n", "7", "--r", "5,,7"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --r: expected comma-separated integers such as 5,7,11, got '5,,7'" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -118,11 +118,41 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             gf8.mul(8, 1)
 
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_square_out_of_range_rejected(self, gf8, bad):
+        with pytest.raises(ValueError, match="is not an element of GF"):
+            gf8.square(bad)
+
     def test_table_and_clmul_paths_agree(self, rng):
         gf = make_field(9)
         for _ in range(300):
             a, b = rng.randrange(512), rng.randrange(512)
             assert gf.mul(a, b) == gf._mul_raw(a, b)
+
+
+class TestProductRows:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_list_table_exhaustive(self, m):
+        gf = make_field(m)
+        assert isinstance(gf.rows, list) and len(gf.rows) == gf.order
+        for a, row in enumerate(gf.rows):
+            assert row == [gf._mul_raw(a, b) for b in range(gf.order)]
+
+    @pytest.mark.parametrize("m", [9, 12, 17])
+    def test_computed_rows_sampled(self, m, rng):
+        # m = 9 and 12 multiply through exp/log, m = 17 through _mul_raw
+        gf = make_field(m)
+        pairs = [(a, b) for a in range(16) for b in range(16)]
+        pairs += [(rng.randrange(gf.order), rng.randrange(gf.order)) for _ in range(300)]
+        for a, b in pairs:
+            assert gf.rows[a][b] == gf._mul_raw(a, b)
+
+    @pytest.mark.parametrize("m", [9, 10, 16, 17, 64])
+    def test_no_list_table_above_m8(self, m):
+        # a 2^(2m)-entry list at m = 10 alone would add about 8 MiB
+        gf = make_field(m)
+        assert not isinstance(gf.rows, list)
+        assert not isinstance(gf.rows[gf.order - 1], list)
 
 
 class TestFrobeniusAndTrace:

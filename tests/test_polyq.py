@@ -34,6 +34,7 @@ from goppa_orbits.polyq import (
     poly_monic,
     poly_mul,
     poly_degree,
+    poly_divmod,
     poly_order,
     poly_to_text,
     poly_sort_key,
@@ -101,6 +102,23 @@ class TestRingOps:
             assert poly_mod(gf8, poly_mul(gf8, inv, (a, 1)), g) == (1,)
 
 
+class TestOperandChecks:
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_non_elements_rejected(self, gf8, bad):
+        # rows[-1] would silently read the last row: every entry point checks
+        for call in (
+            lambda: poly_mul(gf8, (1, 1), (bad, 1)),
+            lambda: poly_mul(gf8, (bad, 1), (1, 1)),
+            lambda: poly_divmod(gf8, (1, 0, 1), (bad, 1)),
+            lambda: poly_divmod(gf8, (bad, 0, 1), (1, 1)),
+            lambda: poly_divmod(gf8, (bad,), (1, 1)),
+            lambda: is_irreducible(gf8, (bad, 1, 1)),
+            lambda: poly_monic(gf8, (bad, 1)),
+        ):
+            with pytest.raises(ValueError, match="is not an element of GF"):
+                call()
+
+
 class TestIrreducibility:
     def test_degree_one_always(self, gf8):
         assert all(is_irreducible(gf8, (a, 1)) for a in range(8))
@@ -116,6 +134,13 @@ class TestIrreducibility:
     def test_constant_rejected(self, gf8):
         with pytest.raises(ValueError):
             is_irreducible(gf8, (1,))
+
+    def test_binary_quintic_over_gf2_17(self):
+        # beyond the list tables (m > 16: rows multiply through _mul_raw);
+        # gcd(5, 17) = 1 keeps x^5 + x^2 + 1 irreducible over GF(2^17)
+        gf = make_field(17)
+        assert not is_irreducible(gf, poly_mul(gf, (12345, 1), (99999, 1)))
+        assert is_irreducible(gf, (1, 0, 1, 0, 0, 1))
 
     def test_quadratic_count_oracle(self, gf8):
         assert _oracle_irreducible_count(gf8, 2) == 28
@@ -153,6 +178,11 @@ class TestIrreducibility:
     def test_enumeration_guard(self, gf32):
         with pytest.raises(GuardError):
             next(enumerate_irreducibles(gf32, 7))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_enumeration_needs_positive_degree(self, gf2, r):
+        with pytest.raises(ValueError, match=rf"degree r >= 1, got r = {r}$"):
+            list(enumerate_irreducibles(gf2, r))
 
     def test_enumeration_guard_boundary(self, gf2):
         # the guard sits at 2^20 candidates, as documented, and names the refused size
@@ -261,10 +291,13 @@ class TestDivisorPolynomials:
         divs = divisor_polynomials(Parameters(5, 7))
         assert divs == sorted(divs, key=poly_sort_key)
 
-    @pytest.mark.parametrize("n,r", [(3, 5), (3, 7), (5, 7), (7, 5), (3, 6), (2, 4)])
+    @pytest.mark.parametrize(
+        "n,r", [(3, 5), (3, 7), (5, 7), (7, 5), (3, 6), (2, 4), (9, 5), (11, 5)]
+    )
     def test_matches_minimal_polynomial_route(self, n, r):
         # binary-irreducible scan vs minimal polynomials through GF(2^(nr));
-        # at (3, 6) and (2, 4) gcd(r, n) > 1 and both sides are empty
+        # at (3, 6) and (2, 4) gcd(r, n) > 1 and both sides are empty; at
+        # n = 9 and 11 the polynomial loops run on computed rows (m > 8)
         expected = divisor_polynomials_by_minpoly(make_tower(n, r))
         assert divisor_polynomials(Parameters(n, r, strict=False)) == expected
         assert bool(expected) == (math.gcd(n, r) == 1)
