@@ -11,12 +11,19 @@ Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
 orbit is materialized as the affine images of f and of the q reversed
 shifts of f: q(q+1) Taylor shifts plus table-driven scalings, not |PGL|
 full transforms (tests check it against the per-matrix transform).
+
+For odd degree r one translation clears the x^(r-1) coefficient, so the
+least orbit member, and every group element reaching it, comes from a
+sweep over the q+1 coset representatives alone.  Stabilizers and the
+sigma^r-fixedness tests use that sweep and materialize no orbit; even r
+keeps the materialized route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import GuardError, InternalCheckError
 from .gf2field import GF2m, Tower, make_field, make_tower
@@ -131,6 +138,11 @@ def _pgl_list(gf: GF2m) -> tuple[Matrix, ...]:
     return tuple(pgl_enumerate(gf))
 
 
+def _pgl_position(mat: Matrix):
+    """Sort key that lists canonical matrices in pgl_enumerate order."""
+    return mat[0] == 0, mat
+
+
 # ---------------------------------------------------------------------------
 # The two actions
 # ---------------------------------------------------------------------------
@@ -227,17 +239,29 @@ def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
     c = list(f)
     if v:
         rv = gf.rows[v]
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] ^= rv[c[j + 1]]
+        top = len(c) - 1
+        for i in range(top):
+            acc = c[top]
+            for j in range(top - 1, i - 1, -1):
+                acc = c[j] = c[j] ^ rv[acc]
     return c
 
 
-@lru_cache(maxsize=6)
-def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
-    """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
-    q, s = gf.order, gf.mult_order
-    _check_pgl_guard(q)
+@lru_cache(maxsize=64)
+def _least_scalings(gf: GF2m, e: int) -> tuple[tuple[int, ...], ...]:
+    """Indexed by log c (c != 0): every k for which c * u^-e, u = g^k, is least."""
+    s, exp = gf.mult_order, gf._exp
+    out = []
+    for lc in range(s):
+        vals = [exp[(lc - e * k) % s] for k in range(s)]
+        low = min(vals)
+        out.append(tuple(k for k, val in enumerate(vals) if val == low))
+    return tuple(out)
+
+
+def _check_seed(gf: GF2m, f: Poly) -> int:
+    """Validate an orbit seed (guard, coefficients, degree >= 2, monic); return its degree."""
+    _check_pgl_guard(gf.order)
     gf._check(*f)
     r = len(f) - 1
     if r < 2:
@@ -245,18 +269,30 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
         raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
     if f[r] != 1:
         raise ValueError("action requires a monic polynomial")
+    return r
+
+
+def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, list[int]]]:
+    """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma)."""
+    reps = [(None, list(f))] + [(gamma, _taylor_shift(gf, f, gamma)[::-1]) for gamma in range(gf.order)]
+    if any(h[r] == 0 for _, h in reps):
+        raise InternalCheckError(
+            "polynomial action dropped the degree: input reducible or arithmetic bug"
+        )
+    return reps
+
+
+def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
+    """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
+    r = _check_seed(gf, f)
+    s = gf.mult_order
     exp, log = gf._exp, gf._log
     ones = [1] * s
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
     members = set()
-    # f(1/x + gamma) x^r is the reversal of f(x + gamma).
-    for h in [f] + [_taylor_shift(gf, f, gamma)[::-1] for gamma in range(q)]:
-        if h[r] == 0:
-            raise InternalCheckError(
-                "polynomial action dropped the degree: input reducible or arithmetic bug"
-            )
-        for v in range(q):
+    for _, h in _coset_representatives(gf, f, r):
+        for v in range(gf.order):
             c = _taylor_shift(gf, h, v)
             # x -> u x, made monic: c_j u^(j - r) / c_r for u = exp[k].
             lead = log[c[r]]
@@ -266,6 +302,59 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
             ]
             members.update(zip(ones, *reversed(cols)))
     return tuple(m[::-1] for m in sorted(members))
+
+
+def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
+    """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
+
+    Odd degree r only.  Each coset representative h, made monic, has one
+    translation x -> x + v that clears x^(r-1) (v = h_(r-1), as r = 1 in
+    characteristic 2), and the least member has that coefficient zero.
+    Scaling x -> u x then maps c_j to c_j u^(j-r); only the u minimising
+    the top nonzero c_j below x^(r-1) can reach the least member.  The
+    hits are the group elements sending f to it, so there are |Stab(f)|
+    of them.  Costs O(q r^2) steps, against q^3 - q for the orbit, once
+    `_least_scalings` holds its O(q^2) table for each gap r - j.
+    """
+    r = _check_seed(gf, f)
+    if r % 2 == 0:
+        raise ValueError(f"the canonical sweep needs odd degree, got r = {r}")
+    s, rows = gf.mult_order, gf.rows
+    exp, log = gf._exp, gf._log
+    best, hits = None, []
+    for gamma, h in _coset_representatives(gf, f, r):
+        if h[r] != 1:
+            rl = rows[gf.inv(h[r])]
+            h = [rl[t] for t in h]
+        v = h[r - 1]
+        c = _taylor_shift(gf, h, v)
+        # c(0) = 0 would be a root in F_q, which the degree check refused.
+        top = max(j for j in range(r - 1) if c[j])
+        logs = [(log[c[j]], r - j) for j in range(r - 2, -1, -1)]
+        for k in _least_scalings(gf, r - top)[log[c[top]]]:
+            # Highest degree first, where tuple order is poly_sort_key order.
+            cand = (1, 0) + tuple(exp[(lj - ej * k) % s] if lj >= 0 else 0 for lj, ej in logs)
+            if best is None or cand < best:
+                best, hits = cand, []
+            if cand == best:
+                hits.append((gamma, v, exp[k]))
+    # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
+    # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
+    mats = [
+        (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, rows[gamma][v] ^ 1, u, rows[gamma][u]))
+        for gamma, v, u in hits
+    ]
+    return best[::-1], mats
+
+
+def orbit_canonical(gf: GF2m, f: Poly) -> Poly:
+    """The least member of PGL(f) under poly_sort_key, i.e. Orbit.canonical.
+
+    Odd degree takes the coset sweep; even degree materializes the orbit.
+    """
+    if (len(f) - 1) % 2:
+        return _canonical_sweep(gf, f)[0]
+    return _pgl_orbit_members(gf, f)[0]
 
 
 def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
@@ -287,38 +376,57 @@ def pgl_orbits(gf: GF2m, seeds):
 
 
 def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
-    """All canonical A in PGL with A(f) = f; always contains the identity.
+    """All canonical A in PGL with A(f) = f, in pgl_enumerate order.
 
-    By orbit-stabilizer the stabilizer is trivial exactly when the orbit
-    has full size q^3 - q; only smaller orbits are scanned per matrix.
+    Odd degree: the sweep's hits A_0, ..., A_k all send f to the least
+    orbit member, so Stab(f) = {A_0^-1 A_i}.  Even degree: trivial when
+    the materialized orbit has full size q^3 - q, else scanned per matrix.
     """
+    if (len(f) - 1) % 2:
+        _, hits = _canonical_sweep(gf, f)
+        if len(hits) == 1:
+            return [IDENTITY]
+        back = mat_inv(gf, hits[0])
+        return sorted((mat_mul(gf, back, mat) for mat in hits), key=_pgl_position)
     if len(_pgl_orbit_members(gf, f)) == gf.order**3 - gf.order:
         return [IDENTITY]
     return [mat for mat in _pgl_list(gf) if act_poly(gf, mat, f) == f]
 
 
 @lru_cache(maxsize=8)
-def _divisor_set(params: Parameters) -> frozenset[Poly]:
-    return frozenset(divisor_polynomials(params))
+def fixed_orbit_classes(params: Parameters) -> MappingProxyType:
+    """The degree-r divisors of x^(2^r) + x, grouped by orbit canonical form.
+
+    Maps each canonical form to the tuple of divisors in that PGL orbit,
+    both in divisor order.  The divisors have binary coefficients, so
+    every orbit they meet is fixed by sigma^r; under the paper's
+    hypotheses these are all the fixed orbits, with 6 divisors each.
+    """
+    gf = make_field(params.n)
+    classes: dict[Poly, list[Poly]] = {}
+    for d in divisor_polynomials(params):
+        classes.setdefault(orbit_canonical(gf, d), []).append(d)
+    return MappingProxyType({canon: tuple(ds) for canon, ds in classes.items()})
 
 
 def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibility") -> bool:
     """Is PGL(f) fixed by the coefficientwise 2^r-power Frobenius?
 
     method="divisibility": does the orbit meet the set of degree-r
-    divisors of x^(2^r) + x?  method="direct": is sigma^r f itself an
-    orbit member?  The two must agree; tests cross-check them.
+    divisors of x^(2^r) + x, i.e. is its canonical form one of theirs?
+    method="direct": is sigma^r f itself an orbit member, i.e. do f and
+    sigma^r f share a canonical form?  The two must agree; tests
+    cross-check them.
     """
     gf = make_field(params.n)
     if len(f) - 1 != params.r:
         raise ValueError(f"expected degree r={params.r}, got {len(f) - 1}")
     if not is_irreducible(gf, f):
         raise ValueError("fixed-orbit test needs an irreducible seed")
-    members = _pgl_orbit_members(gf, f)
     if method == "divisibility":
-        return not _divisor_set(params).isdisjoint(members)
+        return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
-        return poly_frobenius(gf, f, params.r) in members
+        return orbit_canonical(gf, poly_frobenius(gf, f, params.r)) == orbit_canonical(gf, f)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -336,12 +444,10 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 
     Precondition: f itself is a divisor polynomial.
     """
-    divisors = _divisor_set(params)
-    if f not in divisors:
-        raise ValueError("f must itself divide x^(2^r) + x")
-    gf = make_field(params.n)
-    members = _pgl_orbit_members(gf, f)
-    return sum(1 for m in members if m in divisors)
+    for divisors in fixed_orbit_classes(params).values():
+        if f in divisors:
+            return len(divisors)
+    raise ValueError("f must itself divide x^(2^r) + x")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import enumeration, goppa
-from .action import pgl2_binary_subgroup, pgl_orbits
+from .action import IDENTITY, fixed_orbit_classes, pgl2_binary_subgroup, pgl_orbits, stabilizer
 from .enumeration import BoundReport
 from .errors import GuardError, InternalCheckError
 from .gf2field import (
@@ -35,7 +35,6 @@ from .gf2field import (
 from .polyq import (
     Parameters,
     count_divisor_polys_mobius,
-    divisor_polynomials,
     e_set_count,
     enumerate_irreducibles,
     poly_to_bits,
@@ -135,29 +134,30 @@ def _cmd_verify(args) -> list[str] | dict:
     # Each check is (label, passed, detail).
     if args.suite == "fixed-orbits":
         params = Parameters(args.n, args.r)
-        divisors = divisor_polynomials(params)
+        # The divisor polynomials grouped by orbit canonical form: one group per fixed orbit.
+        classes = fixed_orbit_classes(params)
+        divisor_count = sum(len(members) for members in classes.values())
         expected = count_divisor_polys_mobius(params.r)
         e_count = e_set_count(params)
         gf = make_field(params.n)
-        orbits = list(pgl_orbits(gf, divisors))
-        divisor_set = set(divisors)
         expected_orbits = enumeration.fixed_orbit_count_formula(params)
         checks = [
-            ("divisor polynomial count matches the Möbius formula", len(divisors) == expected,
-             f"{len(divisors)} == {expected}"),
+            ("divisor polynomial count matches the Möbius formula", divisor_count == expected,
+             f"{divisor_count} == {expected}"),
             ("order-based count agrees", e_count == expected, f"e_set_count = {e_count}"),
-            ("fixed orbit count", len(orbits) == expected_orbits, f"{len(orbits)} == {expected_orbits}"),
+            ("fixed orbit count", len(classes) == expected_orbits, f"{len(classes)} == {expected_orbits}"),
             ("each fixed orbit contains exactly 6 divisor polynomials",
-             all(len(divisor_set.intersection(orbit.members)) == 6 for orbit in orbits), ""),
+             all(len(members) == 6 for members in classes.values()), ""),
+            # |PGL(f)| = (q^3 - q) / |Stab(f)|
             ("each fixed orbit has full size q^3 - q",
-             all(orbit.size == gf.order**3 - gf.order for orbit in orbits), ""),
+             all(stabilizer(gf, canon) == [IDENTITY] for canon in classes), ""),
         ]
         payload = {
             "suite": "fixed-orbits",
             "n": args.n,
             "r": args.r,
-            "divisor_polynomials": len(divisors),
-            "fixed_orbits": len(orbits),
+            "divisor_polynomials": divisor_count,
+            "fixed_orbits": len(classes),
             "witness_matrices": [[elem_to_bits(e, gf.m) for e in m] for m in pgl2_binary_subgroup()],
         }
     else:
@@ -215,12 +215,12 @@ def _cmd_orbits(args) -> list[str] | dict:
 
 def _cmd_goppa(args) -> list[str] | dict:
     tower = make_tower(args.n, args.r)
-    if args.alpha == "min":
+    if args.alpha is None:
         alpha = next(a for a in range(tower.ext.order) if tower.degree_over(a) == args.r)
     else:
-        alpha = int(args.alpha, 16)
+        alpha = args.alpha
         if not 0 <= alpha < tower.ext.order:
-            raise ValueError(f"alpha {args.alpha} is outside GF(2^{tower.ext.m})")
+            raise ValueError(f"alpha {alpha:x} is outside GF(2^{tower.ext.m})")
         if tower.degree_over(alpha) != args.r:
             raise ValueError(f"alpha must have degree exactly {args.r} over GF(2^{args.n})")
     g = tower.minimal_polynomial(alpha)
@@ -250,7 +250,7 @@ def _cmd_goppa(args) -> list[str] | dict:
 
 def _cmd_field_info(args) -> list[str] | dict:
     if args.modulus is not None:
-        gf = GF2m(args.m, modulus_from_text(args.modulus))
+        gf = GF2m(args.m, args.modulus)
     else:
         gf = make_field(args.m)
     info = {
@@ -281,6 +281,25 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers such as 5,7,11, got {text!r}")
+
+
+def _alpha(text: str) -> int | None:
+    """'min' (None: the least element of degree r) or a hex element."""
+    if text == "min":
+        return None
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a hex field element such as 1f, or 'min', got {text!r}")
+
+
+def _modulus(text: str) -> int:
+    try:
+        return modulus_from_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a binary polynomial such as x^3+x+1 or LSB-first bits such as 1101, got {text!r}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goppa", help="build one extended code and report it")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", required=True,
+    p.add_argument("--alpha", type=_alpha, required=True,
                    help="hex representation of the defining element, or 'min'")
     add_format(p, csv=False)
     p.set_defaults(func=_cmd_goppa)
 
     p = sub.add_parser("field-info", help="describe GF(2^m) and its modulus")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--modulus", default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
+    p.add_argument("--modulus", type=_modulus, default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
     add_format(p, csv=False)
     p.set_defaults(func=_cmd_field_info)
 

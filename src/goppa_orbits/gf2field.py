@@ -146,7 +146,7 @@ def modulus_from_text(text: str) -> int:
             mod ^= 1
         elif term == "x":
             mod ^= 2
-        elif term.startswith("x^"):
+        elif term.startswith("x^") and term[2:].isdecimal():
             mod ^= 1 << int(term[2:])
         elif term == "0" and s == "0":
             return 0

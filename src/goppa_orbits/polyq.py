@@ -81,6 +81,11 @@ def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
 
 def poly_divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     gf._check(*f, *g)
+    return _divmod(gf, f, g)
+
+
+def _divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """poly_divmod's body, for loops whose operands are already checked."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
@@ -117,9 +122,15 @@ def poly_monic(gf: GF2m, f: Poly) -> Poly:
 
 def poly_gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
+    gf._check(*f, *g)
+    return poly_monic(gf, _gcd(gf, f, g))
+
+
+def _gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
+    """A greatest common divisor, not made monic; operands already checked."""
     while g:
-        f, g = g, poly_mod(gf, f, g)
-    return poly_monic(gf, f)
+        f, g = g, _divmod(gf, f, g)[1]
+    return f
 
 
 def poly_eval(gf: GF2m, f: Poly, a: int) -> int:
@@ -146,13 +157,18 @@ def poly_invmod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
 
 def poly_sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
     """f^2 mod `mod`; cross terms vanish in characteristic 2."""
-    gf._check(*f)
+    gf._check(*f, *mod)
+    return _sqr_mod(gf, f, mod)
+
+
+def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
+    """poly_sqr_mod's body, for loops whose operands are already checked."""
     if not f:
         return ZERO
     rows = gf.rows
     out = [0] * (2 * len(f) - 1)
     out[::2] = [rows[a][a] for a in f]
-    return poly_mod(gf, tuple(out), mod)
+    return _divmod(gf, tuple(out), mod)[1]
 
 
 def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
@@ -190,16 +206,18 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
 
     f of degree r is irreducible iff gcd(x^(q^k) - x mod f, f) = 1 for
     every k = 1 .. r // 2; the loop stops at the first nontrivial gcd.
+    f is checked once here; the loop only touches what it computed.
     """
     r = poly_degree(f)
     if r < 1:
         raise ValueError("irreducibility is undefined for constants")
-    x_mod = poly_mod(gf, X, f)
+    gf._check(*f)
+    x_mod = _divmod(gf, X, f)[1]
     t = x_mod
     for _ in range(r // 2):
         for _ in range(gf.m):
-            t = poly_sqr_mod(gf, t, f)
-        if poly_degree(poly_gcd(gf, poly_add(t, x_mod), f)) != 0:
+            t = _sqr_mod(gf, t, f)
+        if poly_degree(_gcd(gf, poly_add(t, x_mod), f)) != 0:
             return False
     return True
 

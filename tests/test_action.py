@@ -10,6 +10,7 @@ import pytest
 from conftest import random_irreducible, random_matrix, random_semilinear
 from goppa_orbits.action import (
     IDENTITY,
+    _canonical_sweep,
     _pgl_orbit_members,
     act_element,
     act_poly,
@@ -17,10 +18,12 @@ from goppa_orbits.action import (
     agl_decompose,
     agl_enumerate,
     count_divisors_in_orbit,
+    fixed_orbit_classes,
     is_orbit_sigma_r_fixed,
     mat_canonical,
     mat_inv,
     mat_mul,
+    orbit_canonical,
     pgl2_binary_subgroup,
     pgl_element_orbit,
     pgl_enumerate,
@@ -34,7 +37,9 @@ from goppa_orbits.errors import GuardError, InternalCheckError
 from goppa_orbits.gf2field import make_field, make_tower
 from goppa_orbits.polyq import (
     Parameters,
+    count_irreducibles,
     divisor_polynomials,
+    enumerate_irreducibles,
     is_irreducible,
     poly_frobenius,
     poly_eval,
@@ -307,6 +312,80 @@ class TestOrbitsAndStabilizers:
             assert len(stab) > 1
             assert stab == [mat for mat in pgl_enumerate(gf) if act_poly(gf, mat, f) == f]
             assert len(_pgl_orbit_members(gf, f)) * len(stab) == gf.order**3 - gf.order
+
+
+class TestCanonicalSweep:
+    """The coset sweep against materialized orbits and the per-matrix scan."""
+
+    @staticmethod
+    def _check_orbit_members(gf, orbit, members):
+        for f in members:
+            canonical, hits = _canonical_sweep(gf, f)
+            assert canonical == orbit.canonical
+            # orbit-stabilizer: the hits are the |Stab(f)| elements reaching the canonical form
+            assert len(hits) * orbit.size == gf.order**3 - gf.order
+            assert len(set(hits)) == len(hits)
+            assert all(act_poly(gf, mat, f) == canonical for mat in hits)
+
+    @pytest.mark.parametrize("m, r", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (3, 3), (3, 5), (4, 3)])
+    def test_every_irreducible_matches_its_materialized_orbit(self, m, r):
+        gf = make_field(m)
+        total, covered = count_irreducibles(gf.order, r), 0
+        # the orbits cover I_r, so the enumeration stops once they add up to |I_r|
+        for orbit in pgl_orbits(gf, enumerate_irreducibles(gf, r)):
+            self._check_orbit_members(gf, orbit, orbit.members)
+            covered += orbit.size
+            if covered == total:
+                break
+        assert covered == total
+
+    def test_sampled_seeds_over_gf32(self, gf32, rng):
+        for _ in range(3):
+            orbit = pgl_orbit(gf32, random_irreducible(gf32, 5, rng))
+            self._check_orbit_members(gf32, orbit, [orbit.members[rng.randrange(orbit.size)] for _ in range(10)])
+
+    @pytest.mark.parametrize("m, r, every", [(1, 3, 1), (1, 5, 1), (2, 3, 1), (2, 5, 1), (3, 3, 12)])
+    def test_stabilizer_matches_per_matrix_scan(self, m, r, every):
+        gf = make_field(m)
+        mats = list(pgl_enumerate(gf))
+        for f in list(enumerate_irreducibles(gf, r))[::every]:
+            assert stabilizer(gf, f) == [mat for mat in mats if act_poly(gf, mat, f) == f]
+
+    @pytest.mark.parametrize("r", [5, 7])
+    def test_fixedness_and_divisor_counts_match_materialized_orbits(self, gf8, rng, r):
+        params = Parameters(3, r, strict=False)
+        divisors = set(divisor_polynomials(params))
+        seeds = [random_irreducible(gf8, r, rng) for _ in range(30)]
+        seeds += [act_poly(gf8, random_matrix(gf8, rng), d) for d in sorted(divisors)[:10]]
+        seeds += sorted(divisors)
+        fixed = 0
+        for f in seeds:
+            members = _pgl_orbit_members(gf8, f)
+            meets = not divisors.isdisjoint(members)
+            assert is_orbit_sigma_r_fixed(f, params, "divisibility") == meets
+            assert is_orbit_sigma_r_fixed(f, params, "direct") == (poly_frobenius(gf8, f, r) in members)
+            assert orbit_canonical(gf8, f) == members[0]
+            if f in divisors:
+                assert count_divisors_in_orbit(f, params) == len(divisors.intersection(members))
+            fixed += meets
+        assert 0 < fixed < len(seeds)
+        classes = fixed_orbit_classes(params)
+        assert sorted(d for ds in classes.values() for d in ds) == sorted(divisors)
+
+    def test_classes_at_7_11_are_the_binary_subgroup_orbits(self):
+        # independent of the sweep: the six GF(2) matrices permute each class
+        gf = make_field(7)
+        classes = fixed_orbit_classes(Parameters(7, 11))
+        assert len(classes) == 31
+        for divisors in classes.values():
+            for d in divisors:
+                assert {act_poly(gf, mat, d) for mat in pgl2_binary_subgroup()} == set(divisors)
+
+    def test_even_degree_canonical_is_materialized(self, gf8, rng):
+        f = random_irreducible(gf8, 4, rng)
+        assert orbit_canonical(gf8, f) == _pgl_orbit_members(gf8, f)[0]
+        with pytest.raises(ValueError, match="odd degree"):
+            _canonical_sweep(gf8, f)
 
 
 class TestSigmaRFixedOrbits:

@@ -183,6 +183,14 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "internal check failed: verification suite 'fixed-orbits' failed: fixed orbit count (3 == 4)\n"
 
+    def test_nontrivial_stabilizer_fails_the_full_size_check(self, capsys, monkeypatch):
+        import goppa_orbits.cli as cli
+
+        monkeypatch.setattr(cli, "stabilizer", lambda gf, f: [(1, 0, 0, 1), (1, 1, 0, 1)])
+        code, out, err = run(capsys, "verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7")
+        assert (code, out) == (2, "")
+        assert err.endswith("failed: each fixed orbit has full size q^3 - q\n")
+
     def test_linear_degree_exits_1(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "1")
         assert (code, out) == (1, "")
@@ -307,6 +315,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --r: expected comma-separated integers such as 5,7,11, got '5,,7'" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["field-info", "--m", "3", "--modulus", "x^3+x^+1"],
+             "argument --modulus: expected a binary polynomial such as x^3+x+1 or LSB-first bits such as 1101, "
+             "got 'x^3+x^+1'"),
+            (["goppa", "--n", "3", "--r", "2", "--alpha", "zz"],
+             "argument --alpha: expected a hex field element such as 1f, or 'min', got 'zz'"),
+        ],
+    )
+    def test_malformed_value_names_option_and_form(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "argv",

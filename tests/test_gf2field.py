@@ -85,6 +85,11 @@ class TestModulusSelection:
         assert modulus_from_text("x^3+x+1") == mod
         assert modulus_from_text("1101") == mod
 
+    @pytest.mark.parametrize("text", ["x^3+x^+1", "x^a+1", "x^3+y"])
+    def test_malformed_term_named(self, text):
+        with pytest.raises(ValueError, match=r"cannot parse polynomial term"):
+            modulus_from_text(text)
+
 
 class TestArithmetic:
     @pytest.mark.parametrize("m", [1, 3, 6, 11, 20, 35])
