@@ -12,11 +12,12 @@ orbit is materialized as the affine images of f and of the q reversed
 shifts of f: q(q+1) Taylor shifts plus table-driven scalings, not |PGL|
 full transforms (tests check it against the per-matrix transform).
 
-For odd degree r one translation clears the x^(r-1) coefficient, so the
-least orbit member, and every group element reaching it, comes from a
-sweep over the q+1 coset representatives alone.  Stabilizers and the
-sigma^r-fixedness tests use that sweep and materialize no orbit; even r
-keeps the materialized route.
+The least orbit member, and every group element reaching it, comes from
+a sweep over the q+1 coset representatives and their translations, with
+only the least scalings tried: one translation each for odd degree r,
+which clears the x^(r-1) coefficient, all q for even r.  Canonical
+forms, stabilizers and the sigma^r-fixedness tests use that sweep and
+materialize no orbit.
 """
 
 from __future__ import annotations
@@ -133,11 +134,6 @@ def pgammal_inverse(gf: GF2m, frob_order: int, g: SemiLinear) -> SemiLinear:
     return mat_frobenius(gf, mat_inv(gf, mat), j), j
 
 
-@lru_cache(maxsize=4)
-def _pgl_list(gf: GF2m) -> tuple[Matrix, ...]:
-    return tuple(pgl_enumerate(gf))
-
-
 def _pgl_position(mat: Matrix):
     """Sort key that lists canonical matrices in pgl_enumerate order."""
     return mat[0] == 0, mat
@@ -170,9 +166,10 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     Computes sum_j (sigma^frob f_j) (dx - b)^j (-cx + a)^(r-j), then
     scales monic (signs vanish in characteristic 2).  The result is
     monic irreducible of the same degree whenever f is; irreducibility
-    of the input is trusted here (orbit entry points validate it), and a
-    dropped degree raises since it can only mean a reducible input or an
-    arithmetic bug.
+    of the input is trusted here (`pgl_orbit` and `is_orbit_sigma_r_fixed`
+    test it; `orbit_canonical` and `stabilizer` accept any monic seed
+    with no root in F_q), and a dropped degree raises since it can only
+    mean a root in F_q or an arithmetic bug.
     """
     gf._check(*mat, *f)
     r = len(f) - 1
@@ -307,18 +304,18 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
 def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
     """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
 
-    Odd degree r only.  Each coset representative h, made monic, has one
-    translation x -> x + v that clears x^(r-1) (v = h_(r-1), as r = 1 in
-    characteristic 2), and the least member has that coefficient zero.
-    Scaling x -> u x then maps c_j to c_j u^(j-r); only the u minimising
-    the top nonzero c_j below x^(r-1) can reach the least member.  The
-    hits are the group elements sending f to it, so there are |Stab(f)|
-    of them.  Costs O(q r^2) steps, against q^3 - q for the orbit, once
-    `_least_scalings` holds its O(q^2) table for each gap r - j.
+    Each coset representative h, made monic, goes through translations
+    x -> x + v, then scalings x -> u x, which map c_j to c_j u^(j-r).
+    Only the u minimising the top nonzero c_j below x^r can reach the
+    least member.  For odd r the translation v = h_(r-1) clears x^(r-1)
+    (r = 1 in characteristic 2), and the least member has that
+    coefficient zero; for even r, c_(r-1) = h_(r-1) whatever v is, so
+    every v is tried.  The hits are the group elements sending f to the
+    least member, so there are |Stab(f)| of them.  Costs O(q r^2) steps
+    for odd r and O(q^2 r^2) for even r, against q^3 - q for the orbit,
+    once `_least_scalings` holds its O(q^2) table for each gap r - j.
     """
     r = _check_seed(gf, f)
-    if r % 2 == 0:
-        raise ValueError(f"the canonical sweep needs odd degree, got r = {r}")
     s, rows = gf.mult_order, gf.rows
     exp, log = gf._exp, gf._log
     best, hits = None, []
@@ -326,18 +323,21 @@ def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
         if h[r] != 1:
             rl = rows[gf.inv(h[r])]
             h = [rl[t] for t in h]
-        v = h[r - 1]
-        c = _taylor_shift(gf, h, v)
-        # c(0) = 0 would be a root in F_q, which the degree check refused.
-        top = max(j for j in range(r - 1) if c[j])
-        logs = [(log[c[j]], r - j) for j in range(r - 2, -1, -1)]
-        for k in _least_scalings(gf, r - top)[log[c[top]]]:
-            # Highest degree first, where tuple order is poly_sort_key order.
-            cand = (1, 0) + tuple(exp[(lj - ej * k) % s] if lj >= 0 else 0 for lj, ej in logs)
-            if best is None or cand < best:
-                best, hits = cand, []
-            if cand == best:
-                hits.append((gamma, v, exp[k]))
+        for v in (h[r - 1],) if r % 2 else range(gf.order):
+            c = _taylor_shift(gf, h, v)
+            # c(0) = 0 would be a root in F_q, which the degree check refused.
+            top = r - 1
+            while not c[top]:
+                top -= 1
+            head = (1,) + (0,) * (r - 1 - top)
+            logs = [(log[c[j]], r - j) for j in range(top, -1, -1)]
+            for k in _least_scalings(gf, r - top)[log[c[top]]]:
+                # Highest degree first, where tuple order is poly_sort_key order.
+                cand = head + tuple(exp[(lj - ej * k) % s] if lj >= 0 else 0 for lj, ej in logs)
+                if best is None or cand < best:
+                    best, hits = cand, []
+                if cand == best:
+                    hits.append((gamma, v, exp[k]))
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
     # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
     mats = [
@@ -348,13 +348,8 @@ def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
 
 
 def orbit_canonical(gf: GF2m, f: Poly) -> Poly:
-    """The least member of PGL(f) under poly_sort_key, i.e. Orbit.canonical.
-
-    Odd degree takes the coset sweep; even degree materializes the orbit.
-    """
-    if (len(f) - 1) % 2:
-        return _canonical_sweep(gf, f)[0]
-    return _pgl_orbit_members(gf, f)[0]
+    """The least member of PGL(f) under poly_sort_key, i.e. Orbit.canonical."""
+    return _canonical_sweep(gf, f)[0]
 
 
 def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
@@ -378,19 +373,14 @@ def pgl_orbits(gf: GF2m, seeds):
 def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
     """All canonical A in PGL with A(f) = f, in pgl_enumerate order.
 
-    Odd degree: the sweep's hits A_0, ..., A_k all send f to the least
-    orbit member, so Stab(f) = {A_0^-1 A_i}.  Even degree: trivial when
-    the materialized orbit has full size q^3 - q, else scanned per matrix.
+    The sweep's hits A_0, ..., A_k all send f to the least orbit member,
+    so Stab(f) = {A_0^-1 A_i}.
     """
-    if (len(f) - 1) % 2:
-        _, hits = _canonical_sweep(gf, f)
-        if len(hits) == 1:
-            return [IDENTITY]
-        back = mat_inv(gf, hits[0])
-        return sorted((mat_mul(gf, back, mat) for mat in hits), key=_pgl_position)
-    if len(_pgl_orbit_members(gf, f)) == gf.order**3 - gf.order:
+    _, hits = _canonical_sweep(gf, f)
+    if len(hits) == 1:
         return [IDENTITY]
-    return [mat for mat in _pgl_list(gf) if act_poly(gf, mat, f) == f]
+    back = mat_inv(gf, hits[0])
+    return sorted((mat_mul(gf, back, mat) for mat in hits), key=_pgl_position)
 
 
 @lru_cache(maxsize=8)
@@ -456,8 +446,7 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 
 def pgl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
     """PGL(alpha) under the Möbius action; alpha must have degree >= 2."""
-    _check_pgl_guard(tower.base.order)
-    return frozenset(act_element(tower, (mat, 0), alpha) for mat in _pgl_list(tower.base))
+    return frozenset(act_element(tower, (mat, 0), alpha) for mat in pgl_enumerate(tower.base))
 
 
 def agl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:

@@ -327,7 +327,11 @@ class TestCanonicalSweep:
             assert len(set(hits)) == len(hits)
             assert all(act_poly(gf, mat, f) == canonical for mat in hits)
 
-    @pytest.mark.parametrize("m, r", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (3, 3), (3, 5), (4, 3)])
+    @pytest.mark.parametrize(
+        "m, r",
+        [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 5),
+         (4, 2), (4, 3)],
+    )
     def test_every_irreducible_matches_its_materialized_orbit(self, m, r):
         gf = make_field(m)
         total, covered = count_irreducibles(gf.order, r), 0
@@ -344,7 +348,9 @@ class TestCanonicalSweep:
             orbit = pgl_orbit(gf32, random_irreducible(gf32, 5, rng))
             self._check_orbit_members(gf32, orbit, [orbit.members[rng.randrange(orbit.size)] for _ in range(10)])
 
-    @pytest.mark.parametrize("m, r, every", [(1, 3, 1), (1, 5, 1), (2, 3, 1), (2, 5, 1), (3, 3, 12)])
+    @pytest.mark.parametrize(
+        "m, r, every", [(1, 3, 1), (1, 4, 1), (1, 5, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1), (3, 3, 12)]
+    )
     def test_stabilizer_matches_per_matrix_scan(self, m, r, every):
         gf = make_field(m)
         mats = list(pgl_enumerate(gf))
@@ -383,9 +389,23 @@ class TestCanonicalSweep:
 
     def test_even_degree_canonical_is_materialized(self, gf8, rng):
         f = random_irreducible(gf8, 4, rng)
-        assert orbit_canonical(gf8, f) == _pgl_orbit_members(gf8, f)[0]
-        with pytest.raises(ValueError, match="odd degree"):
-            _canonical_sweep(gf8, f)
+        members = _pgl_orbit_members(gf8, f)
+        canonical, hits = _canonical_sweep(gf8, f)
+        assert orbit_canonical(gf8, f) == canonical == members[0]
+        assert len(hits) * len(members) == gf8.order**3 - gf8.order
+
+    def test_quadratic_stabilizer_over_gf128(self):
+        # I_2 is a single orbit of q(q - 1)/2 quadratics, so |Stab| = 2(q + 1)
+        # = 258; a per-matrix scan would apply all 2 096 896 matrices
+        gf = make_field(7)
+        f = next(enumerate_irreducibles(gf, 2))
+        stab = stabilizer(gf, f)
+        assert len(stab) == 2 * (gf.order + 1)
+        assert all(act_poly(gf, mat, f) == f and mat_canonical(gf, mat) == mat for mat in stab)
+        # pgl_enumerate order: the a = 1 block, then a = 0, each ascending
+        blocks = [mat for mat in stab if mat[0] == 1], [mat for mat in stab if mat[0] == 0]
+        assert stab == sorted(blocks[0]) + sorted(blocks[1])
+        assert len(set(stab)) == len(stab)
 
 
 class TestSigmaRFixedOrbits:
