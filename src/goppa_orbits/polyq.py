@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GuardError, HypothesisError, InternalCheckError
-from .gf2field import GF2m, Tower, gf2_is_irreducible, make_field, subfield_elements
+from .gf2field import GF2m, Tower, make_field, subfield_elements
 from . import intnt
 from .intnt import euler_phi, mobius
 
@@ -246,7 +246,16 @@ def enumerate_irreducibles(gf: GF2m, r: int):
     """Yield every monic irreducible of degree r, in index order.
 
     The index order is ascending base-q value of the non-leading
-    coefficient vector, constant term least significant.
+    coefficient vector, constant term least significant.  A product
+    sieve: one byte per candidate, marked for every a*b with a monic
+    irreducible of degree d <= r/2 (from this sieve at degree d) and b
+    monic of degree r - d; the unmarked indices are the irreducibles.
+    As q = 2^m, an index packs the m-bit coefficients side by side, so
+    adding polynomials is XOR of indices and b -> a*b is GF(2)-linear:
+    the indices marked for a are idx(a*x^(r-d)) XOR the span of the
+    packed products a*2^k*x^j, k < m, j < r - d, where 2^k is the field
+    element with bit k set.  No polynomial is multiplied;
+    `is_irreducible` (Ben-Or) is the test it must match.
     """
     if r < 1:
         raise ValueError(f"irreducible enumeration needs degree r >= 1, got r = {r}")
@@ -255,10 +264,27 @@ def enumerate_irreducibles(gf: GF2m, r: int):
         raise GuardError(
             f"enumeration of {gf.order}^{r} = 2^{gf.m * r} candidates exceeds the 2^20 guard"
         )
-    for idx in range(total):
-        f = monic_by_index(gf, r, idx)
-        if is_irreducible(gf, f):
-            yield f
+    m, rows = gf.m, gf.rows
+    marked = bytearray(total)
+    for d in range(1, r // 2 + 1):
+        for a in enumerate_irreducibles(gf, d):
+            scaled = [sum(rows[1 << k][c] << (m * i) for i, c in enumerate(a)) for k in range(m)]
+            basis = [v << (m * j) for j in range(r - d) for v in scaled]
+            # a*x^(r-d) without its x^r; the span splits in two, so
+            # neither list outgrows 2^12 entries
+            low = [(scaled[0] << (m * (r - d))) ^ total]
+            for v in basis[:12]:
+                low += [s ^ v for s in low]
+            high = [0]
+            for v in basis[12:]:
+                high += [s ^ v for s in high]
+            for h in high:
+                for idx in low:
+                    marked[idx ^ h] = 1
+    idx = marked.find(0)
+    while idx >= 0:
+        yield monic_by_index(gf, r, idx)
+        idx = marked.find(0, idx + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +376,16 @@ def divisor_polynomials(params: Parameters) -> list[Poly]:
     A root of x^(2^r) + x of degree d over GF(2) has degree
     d / gcd(d, n) over GF(q), so degree-r divisors exist only when
     gcd(r, n) = 1, and then they are exactly the binary irreducibles of
-    degree r.  Those are found by scanning the 2^r bit-packed binary
-    candidates.  Sorted by the standard polynomial order; each result is
-    re-verified to divide x^(2^r) + x.
+    degree r: `enumerate_irreducibles` over GF(2), whose index order is
+    the standard polynomial order.  Each result is re-verified to divide
+    x^(2^r) + x.
     """
     n, r = params.n, params.r
     if math.gcd(r, n) != 1:
         return []
     if r > 16:
         raise GuardError(f"divisor enumeration of 2^{r} binary candidates exceeds the 2^16 guard")
-    top = 1 << r
-    found = [
-        tuple((f >> i) & 1 for i in range(r + 1))
-        for f in range(top, 2 * top)
-        if gf2_is_irreducible(f)
-    ]
-    result = sorted(found, key=poly_sort_key)
+    result = list(enumerate_irreducibles(make_field(1), r))
     gf = make_field(n)
     for f in result:
         if not divides_x2r_plus_x(gf, f, r):

@@ -1,10 +1,20 @@
 """Polynomial-layer tests.
 
-The irreducibility counts are checked against a product-sieve oracle:
-every monic reducible of degree r is a product of a low-degree monic
-irreducible (degree <= r/2, found by root checks) and a monic cofactor,
-so sieving products and complementing is independent of the library's
-Ben-Or test.
+Three routes to the monic irreducibles of degree r are checked against
+each other:
+
+* Ben-Or's test (`is_irreducible`), one polynomial at a time;
+* the library's enumeration (`enumerate_irreducibles`), a product sieve
+  on bit-packed indices that multiplies no polynomial and never calls
+  Ben-Or's test;
+* this module's oracle: every monic reducible of degree r is a product
+  of a low-degree monic irreducible (degree <= r/2, found by root
+  checks) and a monic cofactor, multiplied out with `poly_mul` into a
+  set and complemented.
+
+The oracle is independent of Ben-Or's test, and of the library sieve's
+index arithmetic; Ben-Or's test is independent of both sieves, so the
+enumeration is compared with Ben-Or's filter wherever it is small enough.
 """
 
 import math
@@ -13,7 +23,7 @@ import pytest
 
 from goppa_orbits import intnt
 from goppa_orbits.errors import GuardError, HypothesisError, InternalCheckError
-from goppa_orbits.gf2field import make_field, make_tower
+from goppa_orbits.gf2field import gf2_is_irreducible, make_field, make_tower
 from goppa_orbits.polyq import (
     Parameters,
     count_divisor_polys_mobius,
@@ -43,6 +53,11 @@ from goppa_orbits.polyq import (
 
 def _all_monic(gf, r):
     return [monic_by_index(gf, r, idx) for idx in range(gf.order**r)]
+
+
+def _ben_or_filter(gf, r):
+    """The monic polynomials of degree r that pass Ben-Or's test, in index order."""
+    return [f for f in _all_monic(gf, r) if is_irreducible(gf, f)]
 
 
 def _oracle_reducibles(gf, r):
@@ -148,13 +163,14 @@ class TestIrreducibility:
         assert count_irreducibles(8, 2) == 28
 
     def test_quintic_count_oracle(self, gf8):
-        # the three routes: product sieve, Ben-Or-filtered enumeration, Möbius
+        # the routes: the oracle's product set, the library sieve, Ben-Or, Möbius
         assert _oracle_irreducible_count(gf8, 5) == 6552
         irreducibles = list(enumerate_irreducibles(gf8, 5))
         assert len(irreducibles) == 6552
         assert count_irreducibles(8, 5) == 6552
-        # the same set, not only the same count
+        # the same set, not only the same count, and the same list as Ben-Or's
         assert set(irreducibles) == set(_all_monic(gf8, 5)) - _oracle_reducibles(gf8, 5)
+        assert irreducibles == _ben_or_filter(gf8, 5)
 
     def test_quartic_set_oracle_over_gf4(self):
         # r = 4 holds the squares g^2 of irreducible quadratics, caught only
@@ -165,7 +181,24 @@ class TestIrreducibility:
         assert squares and squares <= reducible
         assert not any(is_irreducible(gf4, f) for f in squares)
         assert set(enumerate_irreducibles(gf4, 4)) == set(_all_monic(gf4, 4)) - reducible
+        assert list(enumerate_irreducibles(gf4, 4)) == _ben_or_filter(gf4, 4)
         assert _oracle_irreducible_count(gf4, 4) == count_irreducibles(4, 4)
+
+    @pytest.mark.parametrize(
+        "m,r", [(m, r) for m in range(1, 13) for r in range(1, 12 // m + 1)]
+    )
+    def test_sieve_matches_ben_or_filter(self, m, r):
+        # every (q, r) with q^r <= 2^12, compared as ordered lists
+        gf = make_field(m)
+        assert list(enumerate_irreducibles(gf, r)) == _ben_or_filter(gf, r)
+
+    def test_sieve_matches_bit_packed_test_at_2_16(self, gf2):
+        packed = [sum(c << i for i, c in enumerate(f)) for f in enumerate_irreducibles(gf2, 16)]
+        assert packed == [f for f in range(1 << 16, 1 << 17) if gf2_is_irreducible(f)]
+
+    def test_sieve_at_the_guard(self, gf32):
+        # 32^4 = 2^20 candidates, the largest domain the guard admits
+        assert sum(1 for _ in enumerate_irreducibles(gf32, 4)) == count_irreducibles(32, 4) == 261888
 
     def test_binary_quadratic(self, gf2):
         assert list(enumerate_irreducibles(gf2, 2)) == [(1, 1, 1)]
