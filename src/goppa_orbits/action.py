@@ -10,7 +10,8 @@ composing as (A, i) * (B, j) = (A * sigma^i(B), i + j mod rn).
 Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
 orbit is materialized as the affine images of f and of the q reversed
 shifts of f: q(q+1) Taylor shifts plus table-driven scalings, not |PGL|
-full transforms (tests check it against the per-matrix transform).
+full transforms (tests check it against the per-matrix transform);
+`pgl_orbits` walks all of I_r that way.
 
 The least orbit member, and every group element reaching it, comes from
 a sweep over the q+1 coset representatives and their translations, with
@@ -32,6 +33,7 @@ from .polyq import (
     Parameters,
     Poly,
     divisor_polynomials,
+    enumerate_irreducibles,
     is_irreducible,
     poly_frobenius,
     poly_sort_key,
@@ -221,11 +223,17 @@ def act_poly_semilinear(gf: GF2m, g: SemiLinear, f: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A materialized group orbit of polynomials."""
+    """A materialized group orbit of polynomials, members in poly_sort_key order."""
 
-    canonical: Poly
-    size: int
     members: tuple[Poly, ...]
+
+    @property
+    def canonical(self) -> Poly:
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
     def __contains__(self, f: Poly) -> bool:
         return f in self.members
@@ -356,16 +364,15 @@ def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
     """The PGL orbit of f under the substitution action, materialized."""
     if not is_irreducible(gf, f) or f[-1] != 1:
         raise ValueError("orbit seeds must be monic irreducible")
-    members = _pgl_orbit_members(gf, f)
-    return Orbit(canonical=members[0], size=len(members), members=members)
+    return Orbit(_pgl_orbit_members(gf, f))
 
 
-def pgl_orbits(gf: GF2m, seeds):
-    """Yield each PGL orbit that the seeds meet, once, in seed order."""
+def pgl_orbits(gf: GF2m, r: int):
+    """Yield each PGL orbit on I_r once, seeded from `enumerate_irreducibles` (no seed re-tested)."""
     seen: set[Poly] = set()
-    for f in seeds:
+    for f in enumerate_irreducibles(gf, r):
         if f not in seen:
-            orbit = pgl_orbit(gf, f)
+            orbit = Orbit(_pgl_orbit_members(gf, f))
             seen.update(orbit.members)
             yield orbit
 

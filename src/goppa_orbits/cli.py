@@ -36,7 +36,6 @@ from .polyq import (
     Parameters,
     count_divisor_polys_mobius,
     e_set_count,
-    enumerate_irreducibles,
     poly_to_bits,
     poly_to_text,
 )
@@ -191,7 +190,7 @@ def _cmd_orbits(args) -> list[str] | dict:
         raise ValueError(f"q={q} must be a power of two, at least 2")
     gf = make_field(q.bit_length() - 1)
     _check_domain_guard(q, args.r, 20, args.max_domain_bits)
-    orbits = list(pgl_orbits(gf, enumerate_irreducibles(gf, args.r)))
+    orbits = list(pgl_orbits(gf, args.r))
     if args.format == "json":
         payload = []
         for orbit in orbits:

@@ -1,7 +1,8 @@
 """The headline computation: an exact upper bound on the number of
 inequivalent extended irreducible binary Goppa codes of length 2^n + 1
 and degree r, together with brute-force orbit counters that
-cross-validate the closed formulas at desk scale.
+cross-validate the closed formulas at desk scale from the orbits that
+`action` materializes (tests hold them to the per-matrix walk).
 
 The bound decomposes over orbits of the projective semi-linear group:
 with F the number of PGL-orbits of I_r fixed by the 2^r-power Frobenius
@@ -16,15 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intnt
-from .action import act_element, act_poly, pgl_enumerate
+from .action import orbit_canonical, pgl_element_orbit, pgl_orbits
 from .errors import GuardError, InternalCheckError
 from .gf2field import GF2m, make_tower
-from .polyq import (
-    Parameters,
-    Poly,
-    count_divisor_polys_mobius,
-    enumerate_irreducibles,
-)
+from .polyq import Parameters, Poly, count_divisor_polys_mobius, poly_frobenius
 
 
 @dataclass(frozen=True)
@@ -111,56 +107,47 @@ def make_table(n: int, r_list: list[int]) -> tuple[list[BoundReport], list[tuple
 # Brute-force cross-validation
 # ---------------------------------------------------------------------------
 
-_POLY_DOMAIN_GUARD = 1 << 20
-_ELEMENT_DOMAIN_GUARD = 1 << 16
-
-
 def brute_force_orbit_count(
     gf: GF2m, r: int, group: str = "PGL", domain: str = "polynomials"
 ) -> int:
-    """Count orbits by repeated materialization over unvisited seeds.
+    """Count orbits by materializing them over unvisited seeds.
 
-    Seeds are taken in ascending order (polynomial index order, or the
-    integer order of field elements), so the count and the traversal are
-    deterministic.  group is "PGL" or "PGammaL"; domain is "polynomials"
-    (all of I_r) or "elements" (all extension elements of degree r).
+    group is "PGL" or "PGammaL"; domain is "polynomials" (all of I_r,
+    walked by `pgl_orbits`) or "elements" (all extension elements of
+    degree r, seeds in integer order).  sigma normalizes PGL, so
+    sigma^i maps PGL(x) onto PGL(sigma^i x), and a PGammaL orbit is the
+    union of those PGL orbits over the twists i < rn.  On polynomials
+    sigma^n fixes every coefficient, so i < n suffice, and each twisted
+    orbit is named by its canonical form.  Tests compare both domains
+    against the walk that applies every group element to each seed.
     """
     if r < 2:
         raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
     if group not in ("PGL", "PGammaL"):
         raise ValueError(f"unknown group {group!r}")
     n = gf.m
-    frob_order = r * n
-    size = gf.order**r
+    twists = range(r * n) if group == "PGammaL" else (0,)
+    count = 0
     if domain == "polynomials":
-        if size > _POLY_DOMAIN_GUARD:
-            raise GuardError(f"polynomial domain {gf.order}^{r} exceeds the 2^20 guard")
-        mats = tuple(pgl_enumerate(gf))
-        frobs = range(frob_order) if group == "PGammaL" else (0,)
-        visited: set[Poly] = set()
-        count = 0
-        for f in enumerate_irreducibles(gf, r):
-            if f in visited:
-                continue
-            count += 1
-            for mat in mats:
-                for i in frobs:
-                    visited.add(act_poly(gf, mat, f, frob=i))
+        twisted: set[Poly] = set()
+        for orbit in pgl_orbits(gf, r):
+            if orbit.canonical not in twisted:
+                count += 1
+                twisted.update(orbit_canonical(gf, poly_frobenius(gf, orbit.canonical, i)) for i in twists[1:n])
         return count
     if domain == "elements":
-        if size > _ELEMENT_DOMAIN_GUARD:
+        if gf.order**r > 1 << 16:
             raise GuardError(f"element domain {gf.order}^{r} exceeds the 2^16 guard")
         tower = make_tower(n, r)
-        mats = tuple(pgl_enumerate(gf))
-        frobs = range(frob_order) if group == "PGammaL" else (0,)
+        ext = tower.ext
         seen: set[int] = set()
-        count = 0
-        for alpha in range(tower.ext.order):
+        for alpha in range(ext.order):
             if alpha in seen or tower.degree_over(alpha) != r:
                 continue
             count += 1
-            for mat in mats:
-                for i in frobs:
-                    seen.add(act_element(tower, (mat, i), alpha))
+            for i in twists:
+                beta = ext.frobenius(alpha, i)
+                if beta not in seen:
+                    seen |= pgl_element_orbit(tower, beta)
         return count
     raise ValueError(f"unknown domain {domain!r}")

@@ -269,15 +269,28 @@ class TestOrbitsAndStabilizers:
         with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
             pgl_orbit(gf8, (3, 1))
 
-    def test_pgl_orbits_yields_each_met_orbit_once_in_seed_order(self, gf8, rng):
-        seeds = [random_irreducible(gf8, 5, rng) for _ in range(4)]
-        seeds += [act_poly(gf8, random_matrix(gf8, rng), f) for f in seeds]
-        expected = []
-        for f in seeds:
-            if not any(f in orbit for orbit in expected):
+    def test_pgl_orbits_walks_i_r_once_without_retesting_seeds(self, gf8, gf32, monkeypatch):
+        # the seed-checked walk: pgl_orbit over the enumeration, skipping members already met
+        expected, met = [], set()
+        for f in enumerate_irreducibles(gf8, 5):
+            if f not in met:
                 expected.append(pgl_orbit(gf8, f))
-        assert list(pgl_orbits(gf8, seeds)) == expected
-        assert list(pgl_orbits(gf8, [])) == []
+                met.update(expected[-1].members)
+        assert [orbit.size for orbit in expected] == [504] * 13
+        assert list(pgl_orbits(gf8, 5)) == expected
+
+        def no_test(gf, f):
+            raise RuntimeError("irreducibility test called")
+
+        # the enumeration's seeds are irreducible already; outside seeds are still tested
+        monkeypatch.setattr("goppa_orbits.action.is_irreducible", no_test)
+        assert list(pgl_orbits(gf8, 5)) == expected
+        with pytest.raises(RuntimeError, match="irreducibility test called"):
+            pgl_orbit(gf8, (0, 1, 1))
+        with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
+            list(pgl_orbits(gf8, 1))
+        with pytest.raises(GuardError):
+            next(pgl_orbits(gf32, 7))
 
     def test_stabilizer_trivial_sampled(self, gf8, rng):
         for _ in range(5):
@@ -336,7 +349,7 @@ class TestCanonicalSweep:
         gf = make_field(m)
         total, covered = count_irreducibles(gf.order, r), 0
         # the orbits cover I_r, so the enumeration stops once they add up to |I_r|
-        for orbit in pgl_orbits(gf, enumerate_irreducibles(gf, r)):
+        for orbit in pgl_orbits(gf, r):
             self._check_orbit_members(gf, orbit, orbit.members)
             covered += orbit.size
             if covered == total:

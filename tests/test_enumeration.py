@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_irreducible
-from goppa_orbits.action import _pgl_orbit_members
+from goppa_orbits.action import _pgl_orbit_members, act_element, act_poly, pgl_enumerate
 from goppa_orbits.enumeration import (
     bound,
     brute_force_orbit_count,
@@ -12,8 +12,8 @@ from goppa_orbits.enumeration import (
     pgl_orbit_count_formula,
 )
 from goppa_orbits.errors import GuardError, HypothesisError
-from goppa_orbits.gf2field import make_field
-from goppa_orbits.polyq import Parameters, divisor_polynomials, poly_frobenius
+from goppa_orbits.gf2field import make_field, make_tower
+from goppa_orbits.polyq import Parameters, divisor_polynomials, enumerate_irreducibles, poly_frobenius
 
 TABLE_N7 = {
     5: 469,
@@ -95,7 +95,45 @@ class TestMakeTable:
         assert rows[0].bound == 29991
 
 
+def per_matrix_orbit_count(gf, r, group, domain):
+    """The reference walk: every PGL matrix at every Frobenius power i < rn, applied to each unvisited seed.
+
+    Seeds are taken in ascending order.  The walk stops once every seed
+    is visited, since no later seed can start an orbit.
+    """
+    mats = tuple(pgl_enumerate(gf))
+    frobs = range(r * gf.m) if group == "PGammaL" else (0,)
+    if domain == "polynomials":
+        seeds = list(enumerate_irreducibles(gf, r))
+
+        def images(f, i):
+            return {act_poly(gf, mat, f, frob=i) for mat in mats}
+    else:
+        tower = make_tower(gf.m, r)
+        seeds = [alpha for alpha in range(tower.ext.order) if tower.degree_over(alpha) == r]
+
+        def images(alpha, i):
+            return {act_element(tower, (mat, i), alpha) for mat in mats}
+    every, visited, count = set(seeds), set(), 0
+    for x in seeds:
+        if x in visited:
+            continue
+        count += 1
+        for i in frobs:
+            visited |= images(x, i)
+            if visited == every:
+                return count
+    return count
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("m, r", [(m, r) for m in range(1, 6) for r in range(2, 11) if m * r <= 10])
+    def test_matches_per_matrix_walk(self, m, r):
+        gf = make_field(m)
+        for group in ("PGL", "PGammaL"):
+            for domain in ("polynomials", "elements"):
+                assert brute_force_orbit_count(gf, r, group, domain) == per_matrix_orbit_count(gf, r, group, domain)
+
     def test_binary_cubics_single_orbit(self, gf2):
         # regression value recorded from the harness itself: the two
         # binary cubics x^3+x+1 and x^3+x^2+1 are swapped by x -> 1/x
@@ -112,7 +150,7 @@ class TestBruteForce:
         assert polys == elems
 
     def test_guards(self, gf32):
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match=r"32\^7 = 2\^35 candidates"):
             brute_force_orbit_count(gf32, 7, "PGL", "polynomials")
         with pytest.raises(GuardError):
             brute_force_orbit_count(gf32, 4, "PGL", "elements")
