@@ -8,10 +8,10 @@ base-field elements, scaled so the first nonzero entry in that order is
 composing as (A, i) * (B, j) = (A * sigma^i(B), i + j mod rn).
 
 Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
-orbit is materialized as the affine images of f and of the q reversed
-shifts of f: q(q+1) Taylor shifts plus table-driven scalings, not |PGL|
-full transforms (tests check it against the per-matrix transform);
-`pgl_orbits` walks all of I_r that way.
+orbit is the affine images of f and of the q reversed shifts of f (q(q+1)
+Taylor shifts plus table-driven scalings), or of alpha and the q elements
+1/(alpha + gamma), not |PGL| transforms; `pgl_orbits` walks I_r that way.
+Tests check both domains against the per-matrix `act_poly`/`act_element`.
 
 The least orbit member, and every group element reaching it, comes from
 a sweep over the q+1 coset representatives and their translations, with
@@ -148,9 +148,9 @@ def _pgl_position(mat: Matrix):
 def act_element(tower: Tower, g: SemiLinear, alpha: int) -> int:
     """Möbius image (a*alpha^(2^i) + b) / (c*alpha^(2^i) + d).
 
-    Requires alpha of degree >= 2 over the base field, which guarantees
-    the denominator cannot vanish (the matrix entries are base-field
-    scalars).
+    alpha must have degree >= 2 over the base field, so the denominator
+    cannot vanish.  Applied with every matrix, it is the tests' oracle
+    for `pgl_element_orbit`.
     """
     (a, b, c, d), i = g
     ext = tower.ext
@@ -451,44 +451,41 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 # Element orbits and the affine decomposition
 # ---------------------------------------------------------------------------
 
+def _element_coset_representatives(tower: Tower, alpha: int) -> tuple[list[int], list[int]]:
+    """alpha and each 1/(alpha + gamma), whose AGL orbits make up PGL(alpha); and F_q, embedded."""
+    _check_pgl_guard(tower.base.order)
+    if tower.degree_over(alpha) < 2:
+        raise ValueError("element orbits need alpha of degree >= 2 over the base field")
+    base = [tower.embed(b) for b in range(tower.base.order)]
+    return [alpha] + [tower.ext.inv(alpha ^ e) for e in base], base
+
+
+def _affine_images(ext: GF2m, reps: list[int], base: list[int]) -> frozenset[int]:
+    """{a * rep + b : rep in reps, a != 0} for a, b in the embedded base field (base[0] = 0)."""
+    scaled = [ext.rows[rep][a] for rep in reps for a in base[1:]]
+    return frozenset(s ^ b for s in scaled for b in base)
+
+
 def pgl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
-    """PGL(alpha) under the Möbius action; alpha must have degree >= 2."""
-    return frozenset(act_element(tower, (mat, 0), alpha) for mat in pgl_enumerate(tower.base))
+    """PGL(alpha) under the Möbius action, as q+1 affine orbits; alpha must have degree >= 2."""
+    return _affine_images(tower.ext, *_element_coset_representatives(tower, alpha))
 
 
 def agl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
     """AGL(alpha) = {a*alpha + b : a != 0}; directly materialized."""
-    ext = tower.ext
-    out = set()
-    for a in range(1, tower.base.order):
-        ea = tower.embed(a)
-        base_img = ext.mul(ea, alpha)
-        for b in range(tower.base.order):
-            out.add(base_img ^ tower.embed(b))
-    return frozenset(out)
+    tower.ext._check(alpha)
+    return _affine_images(tower.ext, [alpha], [tower.embed(b) for b in range(tower.base.order)])
 
 
 def agl_decompose(tower: Tower, alpha: int) -> list[tuple[int, int]]:
     """Partition PGL(alpha) into AGL-orbits.
 
     Returns (representative, orbit size) pairs for the q+1 representatives
-    alpha and 1/(alpha + gamma), gamma in F_q; verifies that the parts are
-    pairwise disjoint and exhaust PGL(alpha).
+    alpha and 1/(alpha + gamma), gamma in F_q, whose AGL orbits make up
+    PGL(alpha); verifies that those parts are pairwise disjoint.
     """
-    r = tower.degree_over(alpha)
-    if r < 2:
-        raise ValueError("affine decomposition needs an element of degree >= 2")
-    ext = tower.ext
-    full = pgl_element_orbit(tower, alpha)
-    reps = [alpha]
-    for gamma in range(tower.base.order):
-        reps.append(ext.inv(alpha ^ tower.embed(gamma)))
-    parts = [agl_element_orbit(tower, rep) for rep in reps]
-    union: set[int] = set()
-    total = 0
-    for part in parts:
-        total += len(part)
-        union |= part
-    if total != len(union) or union != full:
+    reps, base = _element_coset_representatives(tower, alpha)
+    parts = [_affine_images(tower.ext, [rep], base) for rep in reps]
+    if sum(map(len, parts)) != len(frozenset().union(*parts)):
         raise InternalCheckError("affine orbits failed to partition the projective orbit")
     return [(rep, len(part)) for rep, part in zip(reps, parts)]

@@ -16,6 +16,7 @@ from goppa_orbits.action import (
     act_poly,
     act_poly_semilinear,
     agl_decompose,
+    agl_element_orbit,
     agl_enumerate,
     count_divisors_in_orbit,
     fixed_orbit_classes,
@@ -509,5 +510,52 @@ class TestAffineDecomposition:
                 assert act_element(t, (mat, 0), rep) in orbit
 
     def test_low_degree_rejected(self, tower_3_5):
-        with pytest.raises(ValueError):
-            agl_decompose(tower_3_5, tower_3_5.embed(3))
+        # an element of F_q: both routes name the condition before any transform
+        for call in (pgl_element_orbit, agl_decompose):
+            with pytest.raises(ValueError, match=r"degree >= 2"):
+                call(tower_3_5, tower_3_5.embed(3))
+
+
+class TestElementCosetRoute:
+    """`pgl_element_orbit` and `agl_decompose` build PGL(alpha) from the q+1
+    affine orbits of alpha and the 1/(alpha + gamma); the reference here is
+    `act_element` applied with every matrix of `pgl_enumerate`."""
+
+    @pytest.mark.parametrize("m, r", [(m, r) for m in range(1, 6) for r in range(2, 11) if m * r <= 10])
+    def test_coset_route_matches_per_matrix_walk(self, m, r):
+        # one seed per orbit, over every element of degree r
+        t = make_tower(m, r)
+        mats = tuple(pgl_enumerate(t.base))
+        visited, orbits = set(), 0
+        for alpha in range(t.ext.order):
+            if alpha in visited or t.degree_over(alpha) != r:
+                continue
+            walk = {act_element(t, (mat, 0), alpha) for mat in mats}
+            assert pgl_element_orbit(t, alpha) == walk
+            reps = [alpha] + [t.ext.inv(alpha ^ t.embed(gamma)) for gamma in range(t.base.order)]
+            parts = [agl_element_orbit(t, rep) for rep in reps]
+            assert set().union(*parts) == walk
+            if sum(map(len, parts)) == len(walk):
+                assert agl_decompose(t, alpha) == [(rep, len(part)) for rep, part in zip(reps, parts)]
+            else:
+                # a nontrivial stabilizer makes two coset representatives share an affine orbit
+                with pytest.raises(InternalCheckError, match="failed to partition"):
+                    agl_decompose(t, alpha)
+            visited |= walk
+            orbits += 1
+        assert orbits >= 1
+
+    def test_no_per_matrix_transform(self, tower_3_5, monkeypatch):
+        from goppa_orbits.enumeration import brute_force_orbit_count
+
+        def no_transform(*args):
+            raise AssertionError("act_element called")
+
+        monkeypatch.setattr("goppa_orbits.action.act_element", no_transform)
+        t = tower_3_5
+        alpha = next(a for a in range(2, t.ext.order) if t.degree_over(a) == 5)
+        assert len(pgl_element_orbit(t, alpha)) == 504
+        assert len(agl_decompose(t, alpha)) == 9
+        assert len(agl_element_orbit(t, alpha)) == 56
+        on_elements = brute_force_orbit_count(t.base, 5, "PGammaL", "elements")
+        assert on_elements == brute_force_orbit_count(t.base, 5, "PGammaL", "polynomials") == 5

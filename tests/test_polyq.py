@@ -343,6 +343,15 @@ class TestDivisorPolynomials:
         divs = divisor_polynomials(params)
         assert len(divs) == 186 == count_divisor_polys_mobius(11) == e_set_count(params)
 
+    def test_non_divisor_from_the_scan_is_refused(self, monkeypatch):
+        # the bit-packed GF(2) re-check catches a scan that yields x^5 + 1,
+        # which divides x^31 + 1 only if 5 | 31
+        good, bad = list(enumerate_irreducibles(make_field(1), 5)), (1, 0, 0, 0, 0, 1)
+        monkeypatch.setattr("goppa_orbits.polyq.enumerate_irreducibles", lambda gf, r: iter(good + [bad]))
+        with pytest.raises(InternalCheckError, match="fails its defining divisibility"):
+            divisor_polynomials(Parameters(3, 5, strict=False))
+        assert not divides_x2r_plus_x(make_field(3), bad, 5)
+
     def test_scan_guard(self):
         # the scan stops at 2^16 binary candidates and names the refused size;
         # with gcd(r, n) != 1 there is nothing to scan, so nothing is refused
