@@ -18,7 +18,9 @@ a sweep over the q+1 coset representatives and their translations, with
 only the least scalings tried: one translation each for odd degree r,
 which clears the x^(r-1) coefficient, all q for even r.  Canonical
 forms, stabilizers and the sigma^r-fixedness tests use that sweep and
-materialize no orbit.
+materialize no orbit.  A bounded memo of 16 seeds holds each seed's
+sweep and Ben-Or verdict, so asking `stabilizer` and both fixedness
+methods about one f sweeps f and sigma^r f once each and tests f once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ SemiLinear = tuple[Matrix, int]
 IDENTITY: Matrix = (1, 0, 0, 1)
 
 _PGL_GUARD_BITS = 21
+
+# Seeds whose canonical sweep and Ben-Or verdict are kept: room for one
+# query's f and sigma^r f at a small, fixed memory cost.
+_SEED_MEMO_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +174,11 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     Computes sum_j (sigma^frob f_j) (dx - b)^j (-cx + a)^(r-j), then
     scales monic (signs vanish in characteristic 2).  The result is
     monic irreducible of the same degree whenever f is; irreducibility
-    of the input is trusted here (`pgl_orbit` and `is_orbit_sigma_r_fixed`
-    test it; `orbit_canonical` and `stabilizer` accept any monic seed
-    with no root in F_q), and a dropped degree raises since it can only
-    mean a root in F_q or an arithmetic bug.
+    of the input is trusted here (`pgl_orbit` tests it on every call,
+    `is_orbit_sigma_r_fixed` once per seed through a bounded memo;
+    `orbit_canonical` and `stabilizer` accept any monic seed with no
+    root in F_q), and a dropped degree raises since it can only mean a
+    root in F_q or an arithmetic bug.
     """
     gf._check(*mat, *f)
     r = len(f) - 1
@@ -309,8 +316,20 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     return tuple(m[::-1] for m in sorted(members))
 
 
-def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
+def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
+
+    f is checked on every call; the sweep itself goes through `_sweep`'s
+    memo, so `stabilizer` and both sigma^r-fixedness methods asked about
+    one seed sweep it once.
+    """
+    _check_seed(gf, f)
+    return _sweep(gf, tuple(f))
+
+
+@lru_cache(maxsize=_SEED_MEMO_SIZE)
+def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
+    """`_canonical_sweep`'s body for a checked seed, memoized per (field, seed).
 
     Each coset representative h, made monic, goes through translations
     x -> x + v, then scalings x -> u x, which map c_j to c_j u^(j-r).
@@ -323,7 +342,7 @@ def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
     for odd r and O(q^2 r^2) for even r, against q^3 - q for the orbit,
     once `_least_scalings` holds its O(q^2) table for each gap r - j.
     """
-    r = _check_seed(gf, f)
+    r = len(f) - 1
     s, rows = gf.mult_order, gf.rows
     exp, log = gf._exp, gf._log
     best, hits = None, []
@@ -348,10 +367,10 @@ def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, list[Matrix]]:
                     hits.append((gamma, v, exp[k]))
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
     # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
-    mats = [
+    mats = tuple(
         (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, rows[gamma][v] ^ 1, u, rows[gamma][u]))
         for gamma, v, u in hits
-    ]
+    )
     return best[::-1], mats
 
 
@@ -381,7 +400,8 @@ def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
     """All canonical A in PGL with A(f) = f, in pgl_enumerate order.
 
     The sweep's hits A_0, ..., A_k all send f to the least orbit member,
-    so Stab(f) = {A_0^-1 A_i}.
+    so Stab(f) = {A_0^-1 A_i}.  The list is fresh on every call; the
+    memoized sweep keeps its hits in a tuple.
     """
     _, hits = _canonical_sweep(gf, f)
     if len(hits) == 1:
@@ -413,18 +433,27 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     divisors of x^(2^r) + x, i.e. is its canonical form one of theirs?
     method="direct": is sigma^r f itself an orbit member, i.e. do f and
     sigma^r f share a canonical form?  The two must agree; tests
-    cross-check them.
+    cross-check them.  f must have degree r and be irreducible: Ben-Or's
+    test runs once per seed while the seed stays in the bounded memo of
+    `_irreducible_seed`, so asking both methods tests f once, and a
+    reducible seed is refused on every call.
     """
     gf = make_field(params.n)
     if len(f) - 1 != params.r:
         raise ValueError(f"expected degree r={params.r}, got {len(f) - 1}")
-    if not is_irreducible(gf, f):
+    if not _irreducible_seed(gf, tuple(f)):
         raise ValueError("fixed-orbit test needs an irreducible seed")
     if method == "divisibility":
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
         return orbit_canonical(gf, poly_frobenius(gf, f, params.r)) == orbit_canonical(gf, f)
     raise ValueError(f"unknown method {method!r}")
+
+
+@lru_cache(maxsize=_SEED_MEMO_SIZE)
+def _irreducible_seed(gf: GF2m, f: Poly) -> bool:
+    """is_irreducible(gf, f), memoized per (field, seed) for `is_orbit_sigma_r_fixed`."""
+    return is_irreducible(gf, f)
 
 
 def pgl2_binary_subgroup() -> tuple[Matrix, ...]:
@@ -451,10 +480,14 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 # Element orbits and the affine decomposition
 # ---------------------------------------------------------------------------
 
-def _element_coset_representatives(tower: Tower, alpha: int) -> tuple[list[int], list[int]]:
-    """alpha and each 1/(alpha + gamma), whose AGL orbits make up PGL(alpha); and F_q, embedded."""
+def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tuple[list[int], list[int]]:
+    """alpha and each 1/(alpha + gamma), whose AGL orbits make up PGL(alpha); and F_q, embedded.
+
+    degree is alpha's degree over the base field, which the caller has
+    already computed.
+    """
     _check_pgl_guard(tower.base.order)
-    if tower.degree_over(alpha) < 2:
+    if degree < 2:
         raise ValueError("element orbits need alpha of degree >= 2 over the base field")
     base = [tower.embed(b) for b in range(tower.base.order)]
     return [alpha] + [tower.ext.inv(alpha ^ e) for e in base], base
@@ -466,9 +499,14 @@ def _affine_images(ext: GF2m, reps: list[int], base: list[int]) -> frozenset[int
     return frozenset(s ^ b for s in scaled for b in base)
 
 
+def _element_orbit(tower: Tower, alpha: int, degree: int) -> frozenset[int]:
+    """PGL(alpha) as q+1 affine orbits, given alpha's degree over the base field."""
+    return _affine_images(tower.ext, *_element_coset_representatives(tower, alpha, degree))
+
+
 def pgl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
     """PGL(alpha) under the Möbius action, as q+1 affine orbits; alpha must have degree >= 2."""
-    return _affine_images(tower.ext, *_element_coset_representatives(tower, alpha))
+    return _element_orbit(tower, alpha, tower.degree_over(alpha))
 
 
 def agl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
@@ -484,7 +522,7 @@ def agl_decompose(tower: Tower, alpha: int) -> list[tuple[int, int]]:
     alpha and 1/(alpha + gamma), gamma in F_q, whose AGL orbits make up
     PGL(alpha); verifies that those parts are pairwise disjoint.
     """
-    reps, base = _element_coset_representatives(tower, alpha)
+    reps, base = _element_coset_representatives(tower, alpha, tower.degree_over(alpha))
     parts = [_affine_images(tower.ext, [rep], base) for rep in reps]
     if sum(map(len, parts)) != len(frozenset().union(*parts)):
         raise InternalCheckError("affine orbits failed to partition the projective orbit")

@@ -124,8 +124,9 @@ def _cmd_table(args) -> list[str] | dict:
 
 
 def _check_domain_guard(q: int, r: int, ceiling_bits: int, user_bits: int | None) -> None:
+    """Refuse q^r > 2^bits for q a power of two, comparing log2(q) * r so no q^r is built."""
     bits = ceiling_bits if user_bits is None else min(ceiling_bits, user_bits)
-    if q**r > 1 << bits:
+    if (q.bit_length() - 1) * r > bits:
         raise GuardError(f"domain size {q}^{r} exceeds the 2^{bits} enumeration guard")
 
 

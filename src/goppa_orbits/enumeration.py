@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intnt
-from .action import orbit_canonical, pgl_element_orbit, pgl_orbits
+from .action import _element_orbit, orbit_canonical, pgl_orbits
 from .errors import GuardError, InternalCheckError
 from .gf2field import GF2m, make_tower
 from .polyq import Parameters, Poly, count_divisor_polys_mobius, poly_frobenius
@@ -136,7 +136,7 @@ def brute_force_orbit_count(
                 twisted.update(orbit_canonical(gf, poly_frobenius(gf, orbit.canonical, i)) for i in twists[1:n])
         return count
     if domain == "elements":
-        if gf.order**r > 1 << 16:
+        if gf.m * r > 16:
             raise GuardError(f"element domain {gf.order}^{r} exceeds the 2^16 guard")
         tower = make_tower(n, r)
         ext = tower.ext
@@ -145,9 +145,10 @@ def brute_force_orbit_count(
             if alpha in seen or tower.degree_over(alpha) != r:
                 continue
             count += 1
+            # sigma^i is a field automorphism fixing F_q, so every twist has degree r.
             for i in twists:
                 beta = ext.frobenius(alpha, i)
                 if beta not in seen:
-                    seen |= pgl_element_orbit(tower, beta)
+                    seen |= _element_orbit(tower, beta, r)
         return count
     raise ValueError(f"unknown domain {domain!r}")

@@ -259,12 +259,11 @@ def enumerate_irreducibles(gf: GF2m, r: int):
     """
     if r < 1:
         raise ValueError(f"irreducible enumeration needs degree r >= 1, got r = {r}")
-    total = gf.order**r
-    if total > 1 << 20:
-        raise GuardError(
-            f"enumeration of {gf.order}^{r} = 2^{gf.m * r} candidates exceeds the 2^20 guard"
-        )
     m, rows = gf.m, gf.rows
+    # Priced in bits, so a huge r is refused without building q^r.
+    if m * r > 20:
+        raise GuardError(f"enumeration of {gf.order}^{r} = 2^{m * r} candidates exceeds the 2^20 guard")
+    total = 1 << (m * r)
     marked = bytearray(total)
     for d in range(1, r // 2 + 1):
         for a in enumerate_irreducibles(gf, d):
@@ -306,8 +305,9 @@ class Parameters:
     strict: bool = True
 
     def __post_init__(self):
-        if self.n < 1 or self.r < 1:
-            raise HypothesisError("n and r must be positive")
+        for name, value in (("n", self.n), ("r", self.r)):
+            if value < 1:
+                raise HypothesisError(f"{name} must be positive, got {name} = {value}")
         if self.strict:
             self.validate()
 

@@ -8,10 +8,13 @@ of I_5, all of I_7 sampling) live in the acceptance suite.
 import pytest
 
 from conftest import random_irreducible, random_matrix, random_semilinear
+from goppa_orbits import action, polyq
 from goppa_orbits.action import (
     IDENTITY,
     _canonical_sweep,
+    _irreducible_seed,
     _pgl_orbit_members,
+    _sweep,
     act_element,
     act_poly,
     act_poly_semilinear,
@@ -44,6 +47,8 @@ from goppa_orbits.polyq import (
     is_irreducible,
     poly_frobenius,
     poly_eval,
+    poly_mul,
+    poly_scale,
     poly_sort_key,
 )
 
@@ -467,6 +472,103 @@ class TestSigmaRFixedOrbits:
                 break
         with pytest.raises(ValueError):
             count_divisors_in_orbit(f, params)
+
+
+class TestSeedMemo:
+    """One sweep per seed and one Ben-Or test per fixedness seed, shared
+    through the bounded (field, seed) memo; every call still checks its seed."""
+
+    PARAMS = Parameters(3, 7, strict=False)
+    # x^7 + g over GF(8): |Stab| = 7
+    SEVEN_FOLD = (2, 0, 0, 0, 0, 0, 0, 1)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        # the divisor classes sweep every divisor; build them before counting
+        fixed_orbit_classes(self.PARAMS)
+        _sweep.cache_clear()
+        _irreducible_seed.cache_clear()
+
+    @staticmethod
+    def _query(gf, f, params):
+        return (
+            stabilizer(gf, f),
+            is_orbit_sigma_r_fixed(f, params, "divisibility"),
+            is_orbit_sigma_r_fixed(f, params, "direct"),
+        )
+
+    def test_one_query_sweeps_twice_and_tests_once(self, gf8, rng, monkeypatch):
+        f = random_irreducible(gf8, 7, rng)
+        sigma_r_f = poly_frobenius(gf8, f, 7)
+        assert sigma_r_f != f
+        expected = self._query(gf8, f, self.PARAMS)
+        _sweep.cache_clear()
+        _irreducible_seed.cache_clear()
+        # every sweep starts from the seed's coset representatives
+        tested, swept = [], []
+        real_sweep = action._coset_representatives
+
+        def counting_test(gf, g):
+            tested.append(tuple(g))
+            return is_irreducible(gf, g)
+
+        def counting_sweep(gf, g, r):
+            swept.append(tuple(g))
+            return real_sweep(gf, g, r)
+
+        monkeypatch.setattr("goppa_orbits.action.is_irreducible", counting_test)
+        monkeypatch.setattr("goppa_orbits.action._coset_representatives", counting_sweep)
+        assert self._query(gf8, f, self.PARAMS) == expected
+        assert tested == [f]
+        assert swept == [f, sigma_r_f]
+
+    def test_stabilizer_list_is_fresh(self, gf8, rng):
+        for f, size in ((self.SEVEN_FOLD, 7), (random_irreducible(gf8, 7, rng), 1)):
+            first = stabilizer(gf8, f)
+            assert len(first) == size
+            expected = list(first)
+            first.append((0, 1, 1, 0))
+            first[0] = (1, 1, 0, 1)
+            assert stabilizer(gf8, f) == expected
+        assert isinstance(_canonical_sweep(gf8, self.SEVEN_FOLD)[1], tuple)
+
+    def test_list_seed_answers_as_tuple(self, gf8, rng):
+        for f in (self.SEVEN_FOLD, random_irreducible(gf8, 7, rng)):
+            as_tuple = self._query(gf8, f, self.PARAMS) + (orbit_canonical(gf8, f),)
+            # from the memo, then computed afresh
+            assert self._query(gf8, list(f), self.PARAMS) + (orbit_canonical(gf8, list(f)),) == as_tuple
+            _sweep.cache_clear()
+            _irreducible_seed.cache_clear()
+            assert self._query(gf8, list(f), self.PARAMS) + (orbit_canonical(gf8, list(f)),) == as_tuple
+
+    def test_invalid_seeds_raise_on_every_call(self, gf8, rng):
+        f = random_irreducible(gf8, 7, rng)
+        reducible = poly_mul(gf8, (1, 1, 0, 1), (1, 1, 0, 0, 1))
+        non_monic = poly_scale(gf8, 2, f)  # irreducible, so Ben-Or passes it
+        # a float equals its int as a memo key; the coefficient check must still see it
+        float_lead = f[:-1] + (1.0,)
+        self._query(gf8, f, self.PARAMS)
+        for _ in range(2):
+            for method in ("divisibility", "direct"):
+                with pytest.raises(ValueError, match="irreducible seed"):
+                    is_orbit_sigma_r_fixed(reducible, self.PARAMS, method)
+                with pytest.raises(ValueError, match="monic"):
+                    is_orbit_sigma_r_fixed(non_monic, self.PARAMS, method)
+                with pytest.raises(TypeError):
+                    is_orbit_sigma_r_fixed(float_lead, self.PARAMS, method)
+            with pytest.raises(ValueError, match="monic"):
+                stabilizer(gf8, non_monic)
+            with pytest.raises(TypeError):
+                stabilizer(gf8, float_lead)
+            with pytest.raises(ValueError, match="not an element"):
+                stabilizer(gf8, f[:-2] + (8, 1))
+
+    def test_memo_is_bounded(self):
+        for memo in (_sweep, _irreducible_seed):
+            assert memo.cache_info().maxsize is not None
+            assert memo.cache_info().maxsize <= 64
+        # the sieve oracle and the quintic fixture call Ben-Or in hot loops
+        assert not hasattr(polyq.is_irreducible, "cache_info")
 
 
 class TestRootOrbitCorrespondence:

@@ -63,6 +63,15 @@ class TestBoundCommand:
         assert code == 1
         assert "odd prime" in err
 
+    @pytest.mark.parametrize("n, r, message", [
+        ("-5", "7", "n must be positive, got n = -5"),
+        ("5", "0", "r must be positive, got r = 0"),
+    ])
+    def test_non_positive_parameter_names_itself(self, capsys, n, r, message):
+        code, out, err = run(capsys, "bound", "--n", n, "--r", r)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "bound", "--n", "7", "--r", "17", "--format", "json")
         _, second, _ = run(capsys, "bound", "--n", "7", "--r", "17", "--format", "json")
@@ -249,6 +258,17 @@ class TestOrbitsCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err == "error: |PGL2(F_1024)| = 1073740800 exceeds the 2^21 guard\n"
+
+    def test_domain_guard_priced_in_bits(self, capsys):
+        # 8^999999999 would be a 3-gigabit integer; the guard compares 3 * r with 20
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbits", "--q", "8", "--r", "999999999")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "error: domain size 8^999999999 exceeds the 2^20 enumeration guard\n"
+        code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "999999999")
+        assert (code, out) == (1, "")
+        assert err == "error: domain size 8^999999999 exceeds the 2^16 enumeration guard\n"
 
     def test_non_power_of_two_rejected(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "6", "--r", "2")

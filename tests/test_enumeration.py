@@ -1,5 +1,8 @@
 """Bound formulas and brute-force cross-validation at desk scale."""
 
+import time
+from collections import Counter
+
 import pytest
 
 from conftest import random_irreducible
@@ -12,7 +15,7 @@ from goppa_orbits.enumeration import (
     pgl_orbit_count_formula,
 )
 from goppa_orbits.errors import GuardError, HypothesisError
-from goppa_orbits.gf2field import make_field, make_tower
+from goppa_orbits.gf2field import Tower, make_field, make_tower
 from goppa_orbits.polyq import Parameters, divisor_polynomials, enumerate_irreducibles, poly_frobenius
 
 TABLE_N7 = {
@@ -154,6 +157,32 @@ class TestBruteForce:
             brute_force_orbit_count(gf32, 7, "PGL", "polynomials")
         with pytest.raises(GuardError):
             brute_force_orbit_count(gf32, 4, "PGL", "elements")
+
+    def test_element_guard_priced_in_bits(self, gf2, gf8):
+        # 8^(10^9) would be a 3-gigabit integer; the guard compares 3 * 10^9 with 16
+        start = time.perf_counter()
+        with pytest.raises(GuardError) as err:
+            brute_force_orbit_count(gf8, 10**9, "PGL", "elements")
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == "element domain 8^1000000000 exceeds the 2^16 guard"
+        with pytest.raises(GuardError, match=r"^element domain 2\^17 exceeds the 2\^16 guard$"):
+            brute_force_orbit_count(gf2, 17, "PGL", "elements")
+
+    @pytest.mark.parametrize("m, r", [(1, 16), (1, 9), (2, 5), (3, 4), (4, 3)])
+    def test_element_twists_test_the_degree_once(self, m, r, monkeypatch):
+        # a Frobenius twist has its seed's degree, so only the outer loop's alphas are tested
+        gf = make_field(m)
+        expected = brute_force_orbit_count(gf, r, "PGammaL", "polynomials")
+        calls = Counter()
+        real = Tower.degree_over
+
+        def counting(tower, alpha):
+            calls[alpha] += 1
+            return real(tower, alpha)
+
+        monkeypatch.setattr(Tower, "degree_over", counting)
+        assert brute_force_orbit_count(gf, r, "PGammaL", "elements") == expected
+        assert max(calls.values()) == 1
 
     def test_linear_degree_rejected(self, gf8):
         for domain in ("polynomials", "elements"):

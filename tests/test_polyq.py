@@ -18,6 +18,7 @@ enumeration is compared with Ben-Or's filter wherever it is small enough.
 """
 
 import math
+import time
 
 import pytest
 
@@ -223,6 +224,14 @@ class TestIrreducibility:
             next(enumerate_irreducibles(gf2, 21))
         assert poly_degree(next(enumerate_irreducibles(gf2, 20))) == 20
 
+    def test_enumeration_guard_priced_in_bits(self, gf8):
+        # 8^(10^9) would be a 3-gigabit integer; the guard compares 3 * 10^9 with 20
+        start = time.perf_counter()
+        with pytest.raises(GuardError) as err:
+            next(enumerate_irreducibles(gf8, 10**9))
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == "enumeration of 8^1000000000 = 2^3000000000 candidates exceeds the 2^20 guard"
+
     def test_enumeration_is_sorted_and_unique(self, gf8):
         polys = list(enumerate_irreducibles(gf8, 2))
         keys = [poly_sort_key(f) for f in polys]
@@ -391,6 +400,11 @@ class TestParameters:
             Parameters(5, 10)
         with pytest.raises(HypothesisError, match=r"gcd\(r, q\(q\^2-1\)\)"):
             Parameters(7, 3)
+
+    @pytest.mark.parametrize("n, r, name, value", [(0, 7, "n", 0), (-5, 7, "n", -5), (5, 0, "r", 0), (0, -1, "n", 0)])
+    def test_non_positive_names_itself(self, n, r, name, value):
+        with pytest.raises(HypothesisError, match=rf"^{name} must be positive, got {name} = {value}$"):
+            Parameters(n, r, strict=False)
 
     def test_relaxed_skips_hypotheses(self):
         Parameters(3, 2, strict=False)
