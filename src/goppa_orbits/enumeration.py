@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from . import intnt
 from .action import _element_orbit, orbit_canonical, pgl_orbits
-from .errors import GuardError, InternalCheckError
+from .errors import GuardError
 from .gf2field import GF2m, make_tower
-from .polyq import Parameters, Poly, count_divisor_polys_mobius, poly_frobenius
+from .polyq import Parameters, Poly, count_divisor_polys_mobius, count_irreducibles, poly_frobenius
 
 
 @dataclass(frozen=True)
@@ -36,69 +36,51 @@ class BoundReport:
 
 
 def pgl_orbit_count_formula(params: Parameters) -> int:
-    """|PGL \\ I_r| = (sum over d|r of mu(d) q^(r/d)) / (r q (q^2-1)).
+    """|PGL \\ I_r| = |I_r| / (q (q^2 - 1)).
 
     Relaxed parameters are accepted when the division still comes out
     exact (every PGL-stabilizer trivial), e.g. q = 8, r = 5; an inexact
     division is raised, never rounded.
     """
-    r, q = params.r, params.q
-    total = intnt.mobius_power_sum(q, r)
-    denom = r * q * (q * q - 1)
-    if total % denom:
-        raise InternalCheckError(
-            "orbit-count division is inexact: trivial-stabilizer hypotheses violated or arithmetic bug"
-        )
-    return total // denom
+    q = params.q
+    hint = "trivial-stabilizer hypotheses violated or arithmetic bug: |I_r|"
+    return intnt.exact_quotient(count_irreducibles(q, params.r), q * (q * q - 1), hint)
 
 
 def fixed_orbit_count_formula(params: Parameters) -> int:
     """Number of Frobenius^(2^r)-fixed PGL-orbits: the divisor count / 6."""
-    count = count_divisor_polys_mobius(params.r)
-    if count % 6:
-        raise InternalCheckError(f"divisor-polynomial count {count} is not a multiple of 6")
-    return count // 6
+    return intnt.exact_quotient(count_divisor_polys_mobius(params.r), 6, "divisor-polynomial count")
 
 
 def bound(params: Parameters) -> BoundReport:
-    """The exact upper bound for (n, r), via one combined fraction.
+    """The exact upper bound F + (P - F)/n, with terms (n-1)F/n and P/n.
 
-    numerator = (n-1) q(q^2-1) sum mu(d)(2^(r/d)-1) + 6 sum mu(d) q^(r/d)
-    over denominator 6 r n q(q^2-1); divisibility is asserted.
+    Of the P PGL-orbits, the P - F not fixed by Frobenius fall into
+    Galois classes of size n, so n must divide P - F.
     """
     params.validate()
-    n, r, q = params.n, params.r, params.q
-    big_q = q * (q * q - 1)
-    # sum over d | r of mu(d) is 1 at r = 1 and 0 otherwise.
-    s1 = intnt.mobius_power_sum(2, r) - (r == 1)
-    s2 = intnt.mobius_power_sum(q, r)
-    numerator = (n - 1) * big_q * s1 + 6 * s2
-    denominator = 6 * r * n * big_q
-    if numerator % denominator:
-        raise InternalCheckError("bound numerator is not divisible by its denominator")
-    value = numerator // denominator
+    n = params.n
     fixed = fixed_orbit_count_formula(params)
     pgl = pgl_orbit_count_formula(params)
-    if (pgl - fixed) % n or value != fixed + (pgl - fixed) // n:
-        raise InternalCheckError("orbit-count decomposition identity failed")
     return BoundReport(
         params=params,
         fixed_orbit_count=fixed,
         pgl_orbit_count=pgl,
-        bound=value,
-        fixed_term=Fraction((n - 1) * s1, 6 * r * n),
-        pgl_term=Fraction(s2, r * n * big_q),
+        bound=fixed + intnt.exact_quotient(pgl - fixed, n, "non-fixed PGL-orbit count P - F"),
+        fixed_term=Fraction((n - 1) * fixed, n),
+        pgl_term=Fraction(pgl, n),
     )
 
 
 def make_table(n: int, r_list: list[int]) -> tuple[list[BoundReport], list[tuple[int, str]]]:
-    """Bound reports for each r; invalid rows are collected, not fatal."""
+    """Bound reports for each r; n is checked once, and only a refused r is collected, not raised."""
+    Parameters.check_n(n)
     rows: list[BoundReport] = []
     rejected: list[tuple[int, str]] = []
     for r in r_list:
         try:
             rows.append(bound(Parameters(n, r)))
-        except (InternalCheckError, ValueError) as exc:
+        except ValueError as exc:
             rejected.append((r, str(exc)))
     return rows, rejected
 

@@ -17,3 +17,10 @@ class InternalCheckError(RuntimeError):
 
     This always signals an arithmetic bug, never bad user input.
     """
+
+
+def require_positive(**values: int) -> None:
+    """Raise HypothesisError naming the first value below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise HypothesisError(f"{name} must be positive, got {name} = {value}")

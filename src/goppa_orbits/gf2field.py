@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bitmat import kernel_basis, row_reduce
-from .errors import GuardError
+from .errors import GuardError, require_positive
 from .intnt import factorize
 
 MAX_DEGREE = 64
@@ -461,8 +461,7 @@ def make_tower(n: int, r: int, root_choice: int = 0) -> Tower:
     everywhere; other choices exist only to check that results are
     embedding-independent).
     """
-    if n < 1 or r < 1:
-        raise ValueError("tower degrees must be positive")
+    require_positive(n=n, r=r)
     if n * r > MAX_DEGREE:
         raise GuardError(f"composite degree {n * r} exceeds the {MAX_DEGREE}-bit ceiling")
     if n > _ROOT_SCAN_DEGREE:

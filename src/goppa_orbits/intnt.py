@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import InternalCheckError
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -105,6 +107,14 @@ def mobius(n: int) -> int:
 def mobius_power_sum(base: int, r: int) -> int:
     """sum over d | r of mu(d) * base^(r/d), exactly."""
     return sum(mobius(d) * base ** (r // d) for d in divisors(r))
+
+
+def exact_quotient(total: int, divisor: int, what: str) -> int:
+    """total / divisor, exact by theory; a remainder raises InternalCheckError naming `what`."""
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise InternalCheckError(f"{what} is not divisible by {divisor}")
+    return quotient
 
 
 def euler_phi(n: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GuardError, HypothesisError, InternalCheckError
+from .errors import GuardError, HypothesisError, InternalCheckError, require_positive
 from .gf2field import GF2m, Tower, clmul, gf2_mod, make_field, subfield_elements
 from . import intnt
 from .intnt import euler_phi, mobius
@@ -226,10 +226,7 @@ def count_irreducibles(q: int, r: int) -> int:
     """|I_r| = (1/r) * sum over d | r of mu(d) q^(r/d), exactly."""
     if q < 2 or r < 1:
         raise ValueError("need q >= 2 and r >= 1")
-    total = intnt.mobius_power_sum(q, r)
-    if total % r:
-        raise InternalCheckError(f"Möbius sum {total} not divisible by r={r}")
-    return total // r
+    return intnt.exact_quotient(intnt.mobius_power_sum(q, r), r, "Möbius sum for |I_r|")
 
 
 def monic_by_index(gf: GF2m, r: int, idx: int) -> Poly:
@@ -305,9 +302,7 @@ class Parameters:
     strict: bool = True
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("r", self.r)):
-            if value < 1:
-                raise HypothesisError(f"{name} must be positive, got {name} = {value}")
+        require_positive(n=self.n, r=self.r)
         if self.strict:
             self.validate()
 
@@ -315,10 +310,16 @@ class Parameters:
     def q(self) -> int:
         return 1 << self.n
 
-    def validate(self) -> None:
-        n, r = self.n, self.r
+    @staticmethod
+    def check_n(n: int) -> None:
+        """The strict hypotheses on n alone, for callers that pair one n with many r."""
+        require_positive(n=n)
         if n <= 3 or not intnt.is_prime(n):
             raise HypothesisError(f"n={n}: n must be an odd prime > 3")
+
+    def validate(self) -> None:
+        n, r = self.n, self.r
+        self.check_n(n)
         if r < 3:
             raise HypothesisError(f"r={r}: r must be at least 3")
         if math.gcd(r, n) != 1:
@@ -361,13 +362,10 @@ def divides_x2r_plus_x(gf: GF2m, f: Poly, r: int) -> bool:
 
 def count_divisor_polys_mobius(r: int) -> int:
     """(1/r) * sum over d | r of mu(d) (2^(r/d) - 1), exactly."""
-    if r < 1:
-        raise ValueError("r must be positive")
+    require_positive(r=r)
     # sum over d | r of mu(d) is 1 at r = 1 and 0 otherwise.
     total = intnt.mobius_power_sum(2, r) - (r == 1)
-    if total % r:
-        raise InternalCheckError(f"Möbius sum {total} not divisible by r={r}")
-    return total // r
+    return intnt.exact_quotient(total, r, "Möbius sum for the divisor count")
 
 
 def divisor_polynomials(params: Parameters) -> list[Poly]:
@@ -429,10 +427,7 @@ def e_set(params: Parameters) -> list[int]:
 def e_set_count(params: Parameters) -> int:
     """sum of phi(e) over E(r, q), divided exactly by r."""
     total = sum(intnt.euler_phi(e) for e in e_set(params))
-    r = params.r
-    if total % r:
-        raise InternalCheckError(f"phi sum {total} over E(r,q) not divisible by r={r}")
-    return total // r
+    return intnt.exact_quotient(total, params.r, "phi sum over E(r, q)")
 
 
 # ---------------------------------------------------------------------------

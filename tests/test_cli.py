@@ -11,6 +11,7 @@ import pytest
 from goppa_orbits import enumeration
 from goppa_orbits.cli import main
 from goppa_orbits.enumeration import bound
+from goppa_orbits.errors import InternalCheckError
 from goppa_orbits.polyq import Parameters
 
 GOLDEN_BOUND_JSON = """\
@@ -154,6 +155,25 @@ class TestTableCommand:
         assert payload["rows"][0]["bound"] == "469"
         assert payload["rejected"][0]["r"] == 3
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_internal_failure_is_not_a_rejected_row(self, capsys, monkeypatch, fmt):
+        def broken(params):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(enumeration, "pgl_orbit_count_formula", broken)
+        for command in ("bound", "table"):
+            code, out, err = run(capsys, command, "--n", "7", "--r", "5", "--format", fmt)
+            assert (code, out, err) == (2, "", "internal check failed: injected\n")
+
+    @pytest.mark.parametrize("n, message", [
+        ("-5", "n must be positive, got n = -5"),
+        ("4", "n=4: n must be an odd prime > 3"),
+    ])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_bad_n_refuses_the_whole_table(self, capsys, n, message, fmt):
+        code, out, err = run(capsys, "table", "--n", n, "--r", "3,5", "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_bijection_small(self, capsys):
@@ -260,15 +280,17 @@ class TestOrbitsCommand:
         assert err == "error: |PGL2(F_1024)| = 1073740800 exceeds the 2^21 guard\n"
 
     def test_domain_guard_priced_in_bits(self, capsys):
-        # 8^999999999 would be a 3-gigabit integer; the guard compares 3 * r with 20
+        # 8^999999999 would be a 3-gigabit integer; the library guards compare 3 * r with 20 and 16
         start = time.perf_counter()
         code, out, err = run(capsys, "orbits", "--q", "8", "--r", "999999999")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert err == "error: domain size 8^999999999 exceeds the 2^20 enumeration guard\n"
+        assert err == "error: enumeration of 8^999999999 = 2^2999999997 candidates exceeds the 2^20 guard\n"
+        start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "999999999")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert err == "error: domain size 8^999999999 exceeds the 2^16 enumeration guard\n"
+        assert err == "error: element domain 8^999999999 exceeds the 2^16 guard\n"
 
     def test_non_power_of_two_rejected(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "6", "--r", "2")
@@ -296,6 +318,15 @@ class TestGoppaCommand:
         code, _, err = run(capsys, "goppa", "--n", "3", "--r", "2", "--alpha", "1")
         assert code == 1
         assert "degree" in err
+
+    @pytest.mark.parametrize("n, r, message", [
+        ("3", "-2", "r must be positive, got r = -2"),
+        ("0", "2", "n must be positive, got n = 0"),
+        ("-3", "-2", "n must be positive, got n = -3"),
+    ])
+    def test_non_positive_degree_names_itself(self, capsys, n, r, message):
+        code, out, err = run(capsys, "goppa", "--n", n, "--r", r, "--alpha", "min")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestFieldInfoCommand:

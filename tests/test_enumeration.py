@@ -2,10 +2,12 @@
 
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_irreducible
+from goppa_orbits import enumeration, intnt
 from goppa_orbits.action import _pgl_orbit_members, act_element, act_poly, pgl_enumerate
 from goppa_orbits.enumeration import (
     bound,
@@ -14,9 +16,17 @@ from goppa_orbits.enumeration import (
     make_table,
     pgl_orbit_count_formula,
 )
-from goppa_orbits.errors import GuardError, HypothesisError
+from goppa_orbits.errors import GuardError, HypothesisError, InternalCheckError
 from goppa_orbits.gf2field import Tower, make_field, make_tower
-from goppa_orbits.polyq import Parameters, divisor_polynomials, enumerate_irreducibles, poly_frobenius
+from goppa_orbits.polyq import (
+    Parameters,
+    count_divisor_polys_mobius,
+    count_irreducibles,
+    divisor_polynomials,
+    e_set_count,
+    enumerate_irreducibles,
+    poly_frobenius,
+)
 
 TABLE_N7 = {
     5: 469,
@@ -60,6 +70,101 @@ class TestBound:
         values = [bound(Parameters(7, r)).bound for r in sorted(TABLE_N7)]
         assert values == sorted(values)
         assert all(v >= 1 for v in values)
+
+    def test_each_mobius_sum_computed_once(self, monkeypatch):
+        calls = []
+        real = intnt.mobius_power_sum
+
+        def counting(base, r):
+            calls.append((base, r))
+            return real(base, r)
+
+        monkeypatch.setattr(intnt, "mobius_power_sum", counting)
+        assert bound(Parameters(5, 7)).bound == 29991
+        assert sorted(calls) == [(2, 7), (32, 7)]
+
+
+def _mobius(d: int) -> int:
+    """The Möbius function by trial division, independent of `intnt`."""
+    sign, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign
+
+
+def readme_summands(n: int, r: int) -> tuple[Fraction, Fraction]:
+    """The README's two summands, each from its own Möbius sum."""
+    q = 2**n
+    divisors = [d for d in range(1, r + 1) if r % d == 0]
+    s1 = sum(_mobius(d) * (2 ** (r // d) - 1) for d in divisors)
+    s2 = sum(_mobius(d) * q ** (r // d) for d in divisors)
+    return Fraction((n - 1) * s1, 6 * r * n), Fraction(s2, r * n * q * (q * q - 1))
+
+
+class TestGeneralFormula:
+    """The bound, built as F + (P - F)/n, against the README's general
+    two-summand formula at every admitted (n, r) with r <= 300."""
+
+    @pytest.mark.parametrize("n", [5, 7, 11, 13])
+    def test_sweep(self, n):
+        admitted = 0
+        for r in range(1, 301):
+            try:
+                params = Parameters(n, r)
+            except HypothesisError:
+                continue
+            admitted += 1
+            rep = bound(params)
+            fixed_term, pgl_term = readme_summands(n, r)
+            assert (rep.fixed_term, rep.pgl_term) == (fixed_term, pgl_term)
+            assert fixed_term + pgl_term == rep.bound
+        assert admitted >= 30
+
+
+class TestExactness:
+    """Every counting formula's division is checked, never rounded."""
+
+    def test_pgl_count_outside_the_hypotheses(self):
+        # |I_3| over GF(8) is 168, not a multiple of |PGL2(F_8)| = 504
+        with pytest.raises(InternalCheckError, match=(
+            r"^trivial-stabilizer hypotheses violated or arithmetic bug: \|I_r\| is not divisible by 504$"
+        )):
+            pgl_orbit_count_formula(Parameters(3, 3, strict=False))
+
+    def test_fixed_count_outside_the_hypotheses(self):
+        # one binary irreducible quadratic: a divisor count of 1
+        assert count_divisor_polys_mobius(2) == 1
+        with pytest.raises(InternalCheckError, match=r"^divisor-polynomial count is not divisible by 6$"):
+            fixed_orbit_count_formula(Parameters(3, 2, strict=False))
+
+    def test_bound_checks_that_n_divides_p_minus_f(self, monkeypatch):
+        real = enumeration.fixed_orbit_count_formula
+        monkeypatch.setattr(enumeration, "fixed_orbit_count_formula", lambda params: real(params) + 1)
+        with pytest.raises(InternalCheckError, match=r"^non-fixed PGL-orbit count P - F is not divisible by 5$"):
+            bound(Parameters(5, 7))
+
+    @pytest.mark.parametrize("count, message", [
+        (lambda: count_irreducibles(2, 7), "Möbius sum for |I_r|"),
+        (lambda: count_divisor_polys_mobius(7), "Möbius sum for the divisor count"),
+    ])
+    def test_mobius_counts(self, monkeypatch, count, message):
+        real = intnt.mobius_power_sum
+        monkeypatch.setattr(intnt, "mobius_power_sum", lambda base, r: real(base, r) + 1)
+        with pytest.raises(InternalCheckError) as err:
+            count()
+        assert str(err.value) == f"{message} is not divisible by 7"
+
+    def test_phi_sum(self, monkeypatch):
+        # E(7, 32) = {127}, and phi(127) + 1 = 127 is not a multiple of 7
+        real = intnt.euler_phi
+        monkeypatch.setattr(intnt, "euler_phi", lambda e: real(e) + 1)
+        with pytest.raises(InternalCheckError, match=r"^phi sum over E\(r, q\) is not divisible by 7$"):
+            e_set_count(Parameters(5, 7))
 
 
 class TestOrbitCountFormulas:
