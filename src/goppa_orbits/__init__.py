@@ -23,14 +23,6 @@ from .enumeration import (
 )
 from .errors import GuardError, HypothesisError, InternalCheckError
 from .gf2field import GF2m, Tower, make_field, make_tower
-from .goppa import (
-    BinaryCode,
-    GoppaSpec,
-    build_goppa,
-    code_from_orbit_element,
-    extend_code,
-    weight_enumerator,
-)
 from .polyq import (
     Parameters,
     count_divisor_polys_mobius,
@@ -43,3 +35,16 @@ from .polyq import (
 )
 
 __version__ = "0.1.0"
+
+# Only the `goppa` subcommand builds codes, so `goppa` loads on first use (PEP 562).
+_GOPPA_NAMES = frozenset(
+    ("BinaryCode", "GoppaSpec", "build_goppa", "code_from_orbit_element", "extend_code", "weight_enumerator")
+)
+
+
+def __getattr__(name: str):
+    if name in _GOPPA_NAMES:
+        from . import goppa
+
+        return getattr(goppa, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

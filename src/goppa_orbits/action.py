@@ -25,7 +25,7 @@ methods about one f sweeps f and sigma^r f once each and tests f once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -228,11 +228,10 @@ def act_poly_semilinear(gf: GF2m, g: SemiLinear, f: Poly) -> Poly:
 # Orbits and stabilizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(namedtuple("Orbit", "members")):
     """A materialized group orbit of polynomials, members in poly_sort_key order."""
 
-    members: tuple[Poly, ...]
+    __slots__ = ()
 
     @property
     def canonical(self) -> Poly:
@@ -387,7 +386,11 @@ def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
 
 
 def pgl_orbits(gf: GF2m, r: int):
-    """Yield each PGL orbit on I_r once, seeded from `enumerate_irreducibles` (no seed re-tested)."""
+    """Yield each PGL orbit on I_r once, seeded from `enumerate_irreducibles` (no seed re-tested).
+
+    The group-size guard is checked before the sieve runs.
+    """
+    _check_pgl_guard(gf.order)
     seen: set[Poly] = set()
     for f in enumerate_irreducibles(gf, r):
         if f not in seen:

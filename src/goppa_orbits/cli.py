@@ -16,10 +16,9 @@ empty and the message goes to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import enumeration, goppa
+from . import enumeration
 from .action import IDENTITY, fixed_orbit_classes, pgl2_binary_subgroup, pgl_orbits, stabilizer
 from .enumeration import BoundReport
 from .errors import GuardError, InternalCheckError
@@ -66,6 +65,7 @@ def _report_row(rep: BoundReport) -> str:
 
 def _report_json(rep: BoundReport) -> dict:
     p = rep.params
+    fixed_term, pgl_term = rep.fixed_term, rep.pgl_term
     return {
         "n": p.n,
         "r": p.r,
@@ -75,12 +75,12 @@ def _report_json(rep: BoundReport) -> dict:
         "bound": str(rep.bound),
         "terms": {
             "fixed_orbit_term": {
-                "numerator": str(rep.fixed_term.numerator),
-                "denominator": str(rep.fixed_term.denominator),
+                "numerator": str(fixed_term.numerator),
+                "denominator": str(fixed_term.denominator),
             },
             "generic_orbit_term": {
-                "numerator": str(rep.pgl_term.numerator),
-                "denominator": str(rep.pgl_term.denominator),
+                "numerator": str(pgl_term.numerator),
+                "denominator": str(pgl_term.denominator),
             },
         },
     }
@@ -214,6 +214,8 @@ def _cmd_orbits(args) -> list[str] | dict:
 
 
 def _cmd_goppa(args) -> list[str] | dict:
+    from . import goppa
+
     tower = make_tower(args.n, args.r)
     if args.alpha is None:
         alpha = next(a for a in range(tower.ext.order) if tower.degree_over(a) == args.r)
@@ -369,8 +371,11 @@ def main(argv=None) -> int:
     try:
         # Build the whole output first, so a failure leaves stdout empty.
         result = args.func(args)
-        lines = [json.dumps(result, indent=2)] if isinstance(result, dict) else result
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        if isinstance(result, dict):
+            import json
+
+            result = [json.dumps(result, indent=2)]
+        sys.stdout.write("".join(f"{line}\n" for line in result))
         return 0
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

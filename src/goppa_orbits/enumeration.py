@@ -13,8 +13,7 @@ raised as an internal error, never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import intnt
 from .action import _element_orbit, orbit_canonical, pgl_orbits
@@ -23,16 +22,30 @@ from .gf2field import GF2m, make_tower
 from .polyq import Parameters, Poly, count_divisor_polys_mobius, count_irreducibles, poly_frobenius
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Exact result of the bound computation with its term breakdown."""
+class BoundReport(namedtuple("BoundReport", "params fixed_orbit_count pgl_orbit_count bound")):
+    """Exact result of the bound computation with its term breakdown.
 
-    params: Parameters
-    fixed_orbit_count: int
-    pgl_orbit_count: int
-    bound: int
-    fixed_term: Fraction
-    pgl_term: Fraction
+    The terms (n-1)F/n and P/n are Fractions built on access, so output
+    that prints only the counts never imports `fractions`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def fixed_term(self):
+        from fractions import Fraction
+
+        n = self.params.n
+        return Fraction((n - 1) * self.fixed_orbit_count, n)
+
+    @property
+    def pgl_term(self):
+        from fractions import Fraction
+
+        return Fraction(self.pgl_orbit_count, self.params.n)
+
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, fixed_term={self.fixed_term!r}, pgl_term={self.pgl_term!r})"
 
 
 def pgl_orbit_count_formula(params: Parameters) -> int:
@@ -58,17 +71,15 @@ def bound(params: Parameters) -> BoundReport:
     Of the P PGL-orbits, the P - F not fixed by Frobenius fall into
     Galois classes of size n, so n must divide P - F.
     """
-    params.validate()
-    n = params.n
+    if not params.strict:  # a strict Parameters was validated when it was built
+        params.validate()
     fixed = fixed_orbit_count_formula(params)
     pgl = pgl_orbit_count_formula(params)
     return BoundReport(
         params=params,
         fixed_orbit_count=fixed,
         pgl_orbit_count=pgl,
-        bound=fixed + intnt.exact_quotient(pgl - fixed, n, "non-fixed PGL-orbit count P - F"),
-        fixed_term=Fraction((n - 1) * fixed, n),
-        pgl_term=Fraction(pgl, n),
+        bound=fixed + intnt.exact_quotient(pgl - fixed, params.n, "non-fixed PGL-orbit count P - F"),
     )
 
 

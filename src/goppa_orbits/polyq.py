@@ -14,7 +14,7 @@ E(r, q) of 2^r - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GuardError, HypothesisError, InternalCheckError, require_positive
 from .gf2field import GF2m, Tower, clmul, gf2_mod, make_field, subfield_elements
@@ -287,24 +287,29 @@ def enumerate_irreducibles(gf: GF2m, r: int):
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(namedtuple("Parameters", "n r strict")):
     """The pair (n, r) with q = 2^n, plus the arithmetic hypotheses.
 
     In strict mode (the default), construction enforces: n an odd prime
     greater than 3, r >= 3, gcd(r, n) = 1 and gcd(r, q(q^2 - 1)) = 1.
     Relaxed mode skips those checks; the bound computation refuses
     relaxed parameters, but the group-action machinery accepts them.
+    Every construction, `_make` and `_replace` included, runs the checks,
+    so a strict instance is valid by construction.
     """
 
-    n: int
-    r: int
-    strict: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_positive(n=self.n, r=self.r)
-        if self.strict:
+    def __new__(cls, n: int, r: int, strict: bool = True):
+        self = super().__new__(cls, n, r, strict)
+        require_positive(n=n, r=r)
+        if strict:
             self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def q(self) -> int:

@@ -96,6 +96,14 @@ class TestGroupEnumeration:
             with pytest.raises(GuardError, match=r"\|PGL2\(F_256\)\| = 16776960 exceeds the 2\^21 guard"):
                 call()
 
+    def test_pgl_orbits_guard_precedes_the_sieve(self, monkeypatch):
+        def no_sieve(gf, r):
+            raise AssertionError("enumerate_irreducibles ran before the group-size guard")
+
+        monkeypatch.setattr(action, "enumerate_irreducibles", no_sieve)
+        with pytest.raises(GuardError, match=r"^\|PGL2\(F_1024\)\| = 1073740800 exceeds the 2\^21 guard$"):
+            next(pgl_orbits(make_field(10), 2))
+
     def test_agl_closed_under_product(self, gf8, rng):
         agl8 = list(agl_enumerate(gf8))
         agl_set = set(agl8)

@@ -65,6 +65,22 @@ class TestBound:
     def test_relaxed_parameters_refused(self):
         with pytest.raises(HypothesisError):
             bound(Parameters(3, 5, strict=False))
+        with pytest.raises(HypothesisError, match=r"^n=4: n must be an odd prime > 3$"):
+            bound(Parameters(4, 7, strict=False))
+
+    def test_strict_parameters_validated_once(self, monkeypatch):
+        # Construction checks n = 5 once; factorize(7) adds the Möbius sums' one primality test.
+        calls = []
+        real = intnt.is_prime
+
+        def recording(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(intnt, "is_prime", recording)
+        intnt.factorize.cache_clear()
+        assert bound(Parameters(5, 7)).bound == 29991
+        assert calls == [5, 7]
 
     def test_monotone_in_r(self):
         values = [bound(Parameters(7, r)).bound for r in sorted(TABLE_N7)]

@@ -1,0 +1,105 @@
+"""What `import goppa_orbits.cli` loads, and the value types it loads instead of dataclasses.
+
+Every CLI invocation pays for its imports before any command runs, so
+the start-up set is checked by name: no module is in it that only some
+commands use.  The three result types are namedtuples; they keep the
+field names, equality, hashing, immutability and repr they had as
+frozen dataclasses.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import goppa_orbits
+from goppa_orbits.action import Orbit, fixed_orbit_classes, pgl_orbit
+from goppa_orbits.enumeration import BoundReport, bound
+from goppa_orbits.polyq import Parameters, poly_sort_key
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Modules no benchmarked command runs: dataclasses pulls in inspect, fractions
+# pulls in decimal, json is for --format json, goppa for the goppa subcommand.
+NOT_AT_START_UP = {"dataclasses", "inspect", "fractions", "decimal", "json", "goppa_orbits.goppa"}
+QUINTIC = (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1, irreducible over GF(8) since gcd(5, 3) = 1
+
+
+class TestImportSet:
+    def test_cli_import_skips_what_only_some_commands_use(self):
+        code = "import goppa_orbits.cli, sys; print(' '.join(sorted(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "goppa_orbits.cli" in loaded
+        assert NOT_AT_START_UP & loaded == set()
+
+    def test_goppa_names_load_on_first_use(self):
+        import goppa_orbits.goppa
+
+        for name in ("BinaryCode", "GoppaSpec", "build_goppa", "code_from_orbit_element", "extend_code",
+                     "weight_enumerator"):
+            assert getattr(goppa_orbits, name) is getattr(goppa_orbits.goppa, name)
+        from goppa_orbits import build_goppa
+
+        assert build_goppa is goppa_orbits.goppa.build_goppa
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            goppa_orbits.no_such_name
+        assert not hasattr(goppa_orbits, "no_such_name")
+
+
+class TestValueTypes:
+    def test_fields_are_immutable(self, gf8):
+        orbit = pgl_orbit(gf8, QUINTIC)
+        for obj, field in [(Parameters(5, 7), "n"), (bound(Parameters(5, 7)), "bound"), (orbit, "members")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+
+    def test_field_names(self):
+        assert Parameters._fields == ("n", "r", "strict")
+        assert BoundReport._fields == ("params", "fixed_orbit_count", "pgl_orbit_count", "bound")
+        assert Orbit._fields == ("members",)
+
+    def test_equal_parameters_share_one_cache_entry(self):
+        first = fixed_orbit_classes(Parameters(7, 11))
+        before = fixed_orbit_classes.cache_info()
+        again = Parameters(7, 11)
+        assert again == Parameters(7, 11) and hash(again) == hash(Parameters(7, 11))
+        assert fixed_orbit_classes(again) is first
+        after = fixed_orbit_classes.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+        assert Parameters(7, 11) != Parameters(7, 11, strict=False)
+
+    def test_repr(self):
+        assert repr(Parameters(5, 7)) == "Parameters(n=5, r=7, strict=True)"
+        assert repr(bound(Parameters(5, 7))) == (
+            "BoundReport(params=Parameters(n=5, r=7, strict=True), fixed_orbit_count=3, pgl_orbit_count=149943, "
+            "bound=29991, fixed_term=Fraction(12, 5), pgl_term=Fraction(149943, 5))"
+        )
+
+    @pytest.mark.parametrize("n, r, fixed_term, pgl_term", [
+        (5, 7, Fraction(12, 5), Fraction(149943, 5)),
+        (7, 13, Fraction(90), Fraction(12974326183623782355)),
+    ])
+    def test_terms(self, n, r, fixed_term, pgl_term):
+        rep = bound(Parameters(n, r))
+        assert (rep.fixed_term, rep.pgl_term) == (fixed_term, pgl_term)
+        assert type(rep.fixed_term) is Fraction and type(rep.pgl_term) is Fraction
+        assert rep == bound(Parameters(n, r)) and hash(rep) == hash(bound(Parameters(n, r)))
+
+    def test_orbit_membership_size_and_canonical(self, gf8):
+        orbit = pgl_orbit(gf8, QUINTIC)
+        assert orbit.size == 504 == len(orbit.members)
+        assert orbit.canonical == orbit.members[0] == min(orbit.members, key=poly_sort_key)
+        assert all(f in orbit for f in orbit.members)
+        assert (1, 0, 0, 1, 0, 1) in orbit  # the reversal, x -> 1/x
+        assert (1, 0, 0, 0, 0, 1) not in orbit
+        assert orbit.members not in orbit
+        assert orbit == Orbit(orbit.members) and hash(orbit) == hash(Orbit(orbit.members))

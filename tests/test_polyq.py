@@ -412,6 +412,16 @@ class TestParameters:
     def test_q(self):
         assert Parameters(5, 7).q == 32
 
+    def test_replace_and_make_run_the_checks(self):
+        with pytest.raises(HypothesisError, match=r"^n=4: n must be an odd prime > 3$"):
+            Parameters(5, 7)._replace(n=4)
+        with pytest.raises(HypothesisError, match=r"^r must be positive, got r = 0$"):
+            Parameters(3, 2, strict=False)._replace(r=0)
+        with pytest.raises(HypothesisError, match=r"^r=2: r must be at least 3$"):
+            Parameters._make((5, 2))
+        assert Parameters(3, 2, strict=False)._replace(n=4) == Parameters._make((4, 2, False))
+        assert Parameters(5, 7)._replace(r=13) == Parameters(5, 13)
+
 
 class TestTextForms:
     def test_display(self, gf8):
