@@ -11,7 +11,8 @@ Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
 orbit is the affine images of f and of the q reversed shifts of f (q(q+1)
 Taylor shifts plus table-driven scalings), or of alpha and the q elements
 1/(alpha + gamma), not |PGL| transforms; `pgl_orbits` walks I_r that way.
-Tests check both domains against the per-matrix `act_poly`/`act_element`.
+Tests check both domains against the per-matrix `act_poly`/`act_element`,
+named oracles like every function here that no product path calls.
 
 The least orbit member, and every group element reaching it, comes from
 a sweep over the q+1 coset representatives and their translations, with
@@ -88,6 +89,7 @@ def mat_inv(gf: GF2m, mat: Matrix) -> Matrix:
 
 
 def mat_frobenius(gf: GF2m, mat: Matrix, i: int) -> Matrix:
+    """sigma^i on each entry; oracle for the twists of `brute_force_orbit_count`."""
     frob = gf.frobenius
     return tuple(frob(e, i) for e in mat)
 
@@ -102,7 +104,7 @@ def pgl_enumerate(gf: GF2m):
     """Yield each canonical representative of PGL2(F_q) exactly once.
 
     Order: the a=1 block (b, then c, then d ascending), then the a=0,
-    b=1 block; the total is q^3 - q.
+    b=1 block; the total is q^3 - q.  Oracle for `_pgl_orbit_members`.
     """
     q = gf.order
     _check_pgl_guard(q)
@@ -120,7 +122,8 @@ def pgl_enumerate(gf: GF2m):
 def agl_enumerate(gf: GF2m):
     """The affine subgroup {(a, b; 0, 1) : a != 0} as canonical elements.
 
-    Yields q(q-1) matrices of the form (1, b/a, 0, 1/a).
+    Yields q(q-1) matrices of the form (1, b/a, 0, 1/a).  Oracle for
+    `_affine_images`, with `act_element`.
     """
     q = gf.order
     _check_pgl_guard(q)
@@ -131,12 +134,13 @@ def agl_enumerate(gf: GF2m):
 
 
 def pgammal_compose(gf: GF2m, frob_order: int, g: SemiLinear, h: SemiLinear) -> SemiLinear:
-    """(A, i) * (B, j) = (A * sigma^i(B), (i + j) mod rn)."""
+    """(A, i) * (B, j) = (A * sigma^i(B), (i + j) mod rn); oracle for `brute_force_orbit_count`."""
     (a_mat, i), (b_mat, j) = g, h
     return mat_mul(gf, a_mat, mat_frobenius(gf, b_mat, i)), (i + j) % frob_order
 
 
 def pgammal_inverse(gf: GF2m, frob_order: int, g: SemiLinear) -> SemiLinear:
+    """(A, i)^-1 under `pgammal_compose`; oracle for `brute_force_orbit_count`."""
     mat, i = g
     j = (frob_order - i) % frob_order
     return mat_frobenius(gf, mat_inv(gf, mat), j), j
@@ -155,8 +159,8 @@ def act_element(tower: Tower, g: SemiLinear, alpha: int) -> int:
     """Möbius image (a*alpha^(2^i) + b) / (c*alpha^(2^i) + d).
 
     alpha must have degree >= 2 over the base field, so the denominator
-    cannot vanish.  Applied with every matrix, it is the tests' oracle
-    for `pgl_element_orbit`.
+    cannot vanish.  Applied with every matrix, it is the oracle for
+    `_element_orbit`.
     """
     (a, b, c, d), i = g
     ext = tower.ext
@@ -178,7 +182,8 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     `is_orbit_sigma_r_fixed` once per seed through a bounded memo;
     `orbit_canonical` and `stabilizer` accept any monic seed with no
     root in F_q), and a dropped degree raises since it can only mean a
-    root in F_q or an arithmetic bug.
+    root in F_q or an arithmetic bug.  Applied with every matrix, it is
+    the oracle for `_pgl_orbit_members` and `_sweep`.
     """
     gf._check(*mat, *f)
     r = len(f) - 1
@@ -220,6 +225,7 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
 
 
 def act_poly_semilinear(gf: GF2m, g: SemiLinear, f: Poly) -> Poly:
+    """`act_poly` for (A, i); oracle for the PGammaL action `brute_force_orbit_count` assumes."""
     mat, i = g
     return act_poly(gf, mat, f, frob=i)
 
@@ -471,7 +477,8 @@ def pgl2_binary_subgroup() -> tuple[Matrix, ...]:
 def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
     """How many members of PGL(f) divide x^(2^r) + x.
 
-    Precondition: f itself is a divisor polynomial.
+    Precondition: f itself is a divisor polynomial.  Oracle for the
+    six divisors per class of `fixed_orbit_classes`.
     """
     for divisors in fixed_orbit_classes(params).values():
         if f in divisors:
@@ -512,18 +519,13 @@ def pgl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
     return _element_orbit(tower, alpha, tower.degree_over(alpha))
 
 
-def agl_element_orbit(tower: Tower, alpha: int) -> frozenset[int]:
-    """AGL(alpha) = {a*alpha + b : a != 0}; directly materialized."""
-    tower.ext._check(alpha)
-    return _affine_images(tower.ext, [alpha], [tower.embed(b) for b in range(tower.base.order)])
-
-
 def agl_decompose(tower: Tower, alpha: int) -> list[tuple[int, int]]:
     """Partition PGL(alpha) into AGL-orbits.
 
     Returns (representative, orbit size) pairs for the q+1 representatives
     alpha and 1/(alpha + gamma), gamma in F_q, whose AGL orbits make up
-    PGL(alpha); verifies that those parts are pairwise disjoint.
+    PGL(alpha); verifies that those parts are pairwise disjoint.  Oracle
+    for the parts that `_element_orbit` unites.
     """
     reps, base = _element_coset_representatives(tower, alpha, tower.degree_over(alpha))
     parts = [_affine_images(tower.ext, [rep], base) for rep in reps]

@@ -23,6 +23,7 @@ from .action import IDENTITY, fixed_orbit_classes, pgl2_binary_subgroup, pgl_orb
 from .enumeration import BoundReport
 from .errors import GuardError, InternalCheckError
 from .gf2field import (
+    MAX_DEGREE,
     GF2m,
     elem_to_bits,
     make_field,
@@ -31,13 +32,7 @@ from .gf2field import (
     modulus_to_bits,
     modulus_to_text,
 )
-from .polyq import (
-    Parameters,
-    count_divisor_polys_mobius,
-    e_set_count,
-    poly_to_bits,
-    poly_to_text,
-)
+from .polyq import Parameters, e_set_count, poly_to_bits, poly_to_text
 
 CSV_HEADER = "n,r,q,fixed_orbits,pgl_orbits,bound"
 
@@ -136,10 +131,11 @@ def _cmd_verify(args) -> list[str] | dict:
         # The divisor polynomials grouped by orbit canonical form: one group per fixed orbit.
         classes = fixed_orbit_classes(params)
         divisor_count = sum(len(members) for members in classes.values())
-        expected = count_divisor_polys_mobius(params.r)
+        # The formula divides the Möbius divisor count by 6 exactly, so 6 times it is that count.
+        expected_orbits = enumeration.fixed_orbit_count_formula(params)
+        expected = 6 * expected_orbits
         e_count = e_set_count(params)
         gf = make_field(params.n)
-        expected_orbits = enumeration.fixed_orbit_count_formula(params)
         checks = [
             ("divisor polynomial count matches the Möbius formula", divisor_count == expected,
              f"{divisor_count} == {expected}"),
@@ -160,6 +156,9 @@ def _cmd_verify(args) -> list[str] | dict:
             "witness_matrices": [[elem_to_bits(e, gf.m) for e in m] for m in pgl2_binary_subgroup()],
         }
     else:
+        # GF2m's own refusal names its degree m; here that degree is the option n.
+        if not 1 <= args.n <= MAX_DEGREE:
+            raise GuardError(f"field degree n = {args.n} outside supported range 1..{MAX_DEGREE}")
         gf = make_field(args.n)
         _check_domain_guard(gf, args.r, args.max_domain_bits)
         # Elements first: their 2^16 ceiling is the lower one, so it refuses before any polynomial work.

@@ -130,7 +130,7 @@ def brute_force_orbit_count(
         return count
     if domain == "elements":
         if gf.m * r > 16:
-            raise GuardError(f"element domain {gf.order}^{r} exceeds the 2^16 guard")
+            raise GuardError(f"element domain q^r = {gf.order}^{r} exceeds the 2^16 guard")
         tower = make_tower(n, r)
         ext = tower.ext
         seen: set[int] = set()

@@ -106,7 +106,7 @@ def gf2_is_irreducible(f: int) -> bool:
 def smallest_irreducible(m: int) -> int:
     """Monic irreducible of degree m with smallest bit-packed value."""
     if not 1 <= m <= MAX_DEGREE:
-        raise GuardError(f"field degree {m} outside supported range 1..{MAX_DEGREE}")
+        raise GuardError(f"field degree m = {m} outside supported range 1..{MAX_DEGREE}")
     top = 1 << m
     for low in range(top):
         f = top | low
@@ -160,10 +160,6 @@ def elem_to_bits(a: int, m: int) -> str:
     return "".join("1" if (a >> i) & 1 else "0" for i in range(m))
 
 
-def elem_from_bits(s: str) -> int:
-    return sum(1 << i for i, c in enumerate(s.strip()) if c == "1")
-
-
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ class GF2m:
 
     def __init__(self, m: int, modulus: int | None = None):
         if not 1 <= m <= MAX_DEGREE:
-            raise GuardError(f"field degree {m} outside supported range 1..{MAX_DEGREE}")
+            raise GuardError(f"field degree m = {m} outside supported range 1..{MAX_DEGREE}")
         if modulus is None:
             modulus = smallest_irreducible(m)
         if modulus.bit_length() - 1 != m:
@@ -243,10 +239,6 @@ class GF2m:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         return self._product(a, b)
@@ -270,19 +262,6 @@ class GF2m:
             return self._exp[self.mult_order - self._log[a]]
         return gf2_invmod(a, self.modulus)
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e; arbitrary-precision e is reduced mod 2^m - 1 for a != 0."""
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        s = self.mult_order
-        e = e % s if s else 0
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % s] if s else 1
-        return self._pow_raw(a, e)
-
     def frobenius(self, a: int, k: int) -> int:
         """a^(2^k); k is reduced mod m since squaring m times is identity."""
         self._check(a)
@@ -290,17 +269,6 @@ class GF2m:
         for _ in range(k):
             a = self._product(a, a)
         return a
-
-    def trace(self, a: int) -> int:
-        """Absolute trace to GF(2): a + a^2 + a^4 + ... + a^(2^(m-1))."""
-        self._check(a)
-        acc = t = a
-        for _ in range(self.m - 1):
-            t = self._product(t, t)
-            acc ^= t
-        if acc not in (0, 1):
-            raise AssertionError("trace landed outside GF(2)")
-        return acc
 
     def elements(self) -> range:
         return range(self.order)
@@ -383,9 +351,9 @@ class Tower:
             raise ValueError("element is not in the embedded base field")
         return y >> m
 
-    def frob_q(self, alpha: int, k: int = 1) -> int:
-        """alpha^(q^k), the base-field Frobenius iterated k times."""
-        return self.ext.frobenius(alpha, self.n * k)
+    def frob_q(self, alpha: int) -> int:
+        """alpha^q, the base-field Frobenius."""
+        return self.ext.frobenius(alpha, self.n)
 
     def degree_over(self, alpha: int) -> int:
         """Smallest d >= 1 with alpha^(q^d) = alpha; always divides r."""
@@ -463,7 +431,7 @@ def make_tower(n: int, r: int, root_choice: int = 0) -> Tower:
     """
     require_positive(n=n, r=r)
     if n * r > MAX_DEGREE:
-        raise GuardError(f"composite degree {n * r} exceeds the {MAX_DEGREE}-bit ceiling")
+        raise GuardError(f"composite degree n*r = {n * r} exceeds the {MAX_DEGREE}-bit ceiling")
     if n > _ROOT_SCAN_DEGREE:
         raise GuardError(f"tower base degree {n} exceeds the root-scan ceiling {_ROOT_SCAN_DEGREE}")
     base = make_field(n)

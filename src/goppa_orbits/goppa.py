@@ -140,19 +140,6 @@ def extend_code(code: BinaryCode) -> BinaryCode:
     return BinaryCode(length=n + 1, generator=gen, parity_check=checks, dimension=code.dimension)
 
 
-def puncture_last(code: BinaryCode) -> BinaryCode:
-    """Drop the last coordinate (inverse of extend_code on its image).
-
-    Parity rows that involve the removed coordinate (the overall-parity
-    row added by extend_code) are discarded rather than truncated.
-    """
-    n = code.length - 1
-    mask = (1 << n) - 1
-    gen = tuple(row & mask for row in code.generator)
-    checks = tuple(h for h in code.parity_check if not (h >> n) & 1)
-    return BinaryCode(length=n, generator=gen, parity_check=checks, dimension=code.dimension)
-
-
 def weight_enumerator(code: BinaryCode) -> list[int]:
     """Exact codeword weight histogram, indexed 0..length."""
     if code.dimension > _WEIGHT_ENUM_DIM_GUARD:
@@ -181,6 +168,8 @@ def permutation_equivalent(first: BinaryCode, second: BinaryCode) -> bool:
 
     This is a last-resort decision procedure gated to length <= 9; the
     weight enumerator is used as a fast necessary condition first.
+    Oracle for `code_from_orbit_element`: at q = 8, codes built from
+    one semi-linear orbit must be permutation-equivalent.
     """
     if first.length != second.length or first.dimension != second.dimension:
         return False

@@ -1,4 +1,4 @@
-"""Integer number theory: factorization, Möbius, Euler phi, orders.
+"""Integer number theory: factorization, Möbius, Euler phi.
 
 Factorization is Miller-Rabin plus Brent's cycle-finding rho, with no
 embedded factor tables.  The fixed Miller-Rabin bases (the primes up to
@@ -22,7 +22,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed base set (deterministic below ~3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -124,16 +124,3 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         result -= result // p
     return result
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Least e >= 1 with a^e = 1 (mod modulus); requires gcd(a, modulus) = 1."""
-    if math.gcd(a, modulus) != 1:
-        raise ValueError("element not invertible modulo the given modulus")
-    if modulus == 1:
-        return 1
-    e = euler_phi(modulus)
-    for p, _ in factorize(e):
-        while e % p == 0 and pow(a, e // p, modulus) == 1:
-            e //= p
-    return e

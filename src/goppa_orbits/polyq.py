@@ -17,9 +17,8 @@ import math
 from collections import namedtuple
 
 from .errors import GuardError, HypothesisError, InternalCheckError, require_positive
-from .gf2field import GF2m, Tower, clmul, gf2_mod, make_field, subfield_elements
+from .gf2field import GF2m, Tower, clmul, elem_to_bits, gf2_mod, make_field, subfield_elements
 from . import intnt
-from .intnt import euler_phi, mobius
 
 Poly = tuple[int, ...]
 
@@ -31,15 +30,6 @@ X: Poly = (0, 1)
 # ---------------------------------------------------------------------------
 # Ring operations
 # ---------------------------------------------------------------------------
-
-def poly_from_coeffs(gf: GF2m, coeffs) -> Poly:
-    """Normalize a coefficient sequence (lowest degree first)."""
-    c = list(coeffs)
-    gf._check(*c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
 
 def poly_degree(f: Poly) -> int:
     """Degree; the zero polynomial has degree -1."""
@@ -112,20 +102,6 @@ def poly_mod(gf: GF2m, f: Poly, g: Poly) -> Poly:
     return poly_divmod(gf, f, g)[1]
 
 
-def poly_monic(gf: GF2m, f: Poly) -> Poly:
-    """Scale to leading coefficient 1 (zero polynomial stays zero)."""
-    gf._check(*f)
-    if not f or f[-1] == 1:
-        return f
-    return poly_scale(gf, gf.inv(f[-1]), f)
-
-
-def poly_gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    gf._check(*f, *g)
-    return poly_monic(gf, _gcd(gf, f, g))
-
-
 def _gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
     """A greatest common divisor, not made monic; operands already checked."""
     while g:
@@ -155,14 +131,8 @@ def poly_invmod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
     return poly_mod(gf, poly_scale(gf, gf.inv(r0[0]), s0), mod)
 
 
-def poly_sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
-    """f^2 mod `mod`; cross terms vanish in characteristic 2."""
-    gf._check(*f, *mod)
-    return _sqr_mod(gf, f, mod)
-
-
 def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
-    """poly_sqr_mod's body, for loops whose operands are already checked."""
+    """f^2 mod `mod` for operands already checked; cross terms vanish in characteristic 2."""
     if not f:
         return ZERO
     rows = gf.rows
@@ -172,7 +142,7 @@ def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
 
 
 def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
-    """f^e mod `mod` for arbitrary-precision e >= 0."""
+    """f^e mod `mod` for arbitrary-precision e >= 0; oracle for `e_set_count`, through `poly_order`."""
     if e < 0:
         raise ValueError("negative polynomial exponent")
     result = poly_mod(gf, ONE, mod)
@@ -259,7 +229,7 @@ def enumerate_irreducibles(gf: GF2m, r: int):
     m, rows = gf.m, gf.rows
     # Priced in bits, so a huge r is refused without building q^r.
     if m * r > 20:
-        raise GuardError(f"enumeration of {gf.order}^{r} = 2^{m * r} candidates exceeds the 2^20 guard")
+        raise GuardError(f"enumeration of q^r = {gf.order}^{r} = 2^{m * r} candidates exceeds the 2^20 guard")
     total = 1 << (m * r)
     marked = bytearray(total)
     for d in range(1, r // 2 + 1):
@@ -342,7 +312,11 @@ class Parameters(namedtuple("Parameters", "n r strict")):
 # ---------------------------------------------------------------------------
 
 def poly_order(gf: GF2m, f: Poly) -> int:
-    """Least e >= 1 with f | x^e - 1; f must be irreducible with f(0) != 0."""
+    """Least e >= 1 with f | x^e - 1; f must be irreducible with f(0) != 0.
+
+    Oracle for `e_set_count`: each e in E(r, q) is the order of phi(e)/r
+    of the divisor polynomials.
+    """
     if not f or f[0] == 0:
         raise ValueError("polynomial order requires a nonzero constant term")
     if not is_irreducible(gf, f):
@@ -358,11 +332,11 @@ def poly_order(gf: GF2m, f: Poly) -> int:
 
 
 def divides_x2r_plus_x(gf: GF2m, f: Poly, r: int) -> bool:
-    """Does f divide x^(2^r) + x?  Computed as r squarings mod f."""
+    """Does f divide x^(2^r) + x?  r squarings mod f over GF(q); oracle for `divisor_polynomials`."""
     t = poly_mod(gf, X, f)
     for _ in range(r):
-        t = poly_sqr_mod(gf, t, f)
-    return poly_mod(gf, poly_add(t, X), f) == ZERO
+        t = _sqr_mod(gf, t, f)
+    return _divmod(gf, poly_add(t, X), f)[1] == ZERO
 
 
 def count_divisor_polys_mobius(r: int) -> int:
@@ -402,7 +376,7 @@ def divisor_polynomials(params: Parameters) -> list[Poly]:
 def divisor_polynomials_by_minpoly(tower: Tower) -> list[Poly]:
     """The degree-r divisors of x^(2^r)+x over GF(q), through the tower.
 
-    The general route, kept as the reference for `divisor_polynomials`:
+    The general route, kept as the oracle for `divisor_polynomials`:
     the minimal polynomials over GF(q) of the elements of the subfield
     GF(2^r) of GF(q^r) (exactly the roots of x^(2^r) + x), keeping those
     of degree r.  Sorted by the standard polynomial order.
@@ -441,15 +415,7 @@ def e_set_count(params: Parameters) -> int:
 
 def poly_to_bits(gf: GF2m, f: Poly) -> list[str]:
     """Serialized coefficient list: LSB-first bit-strings, lowest degree first."""
-    from .gf2field import elem_to_bits
-
     return [elem_to_bits(c, gf.m) for c in f]
-
-
-def poly_from_bits(gf: GF2m, bits: list[str]) -> Poly:
-    from .gf2field import elem_from_bits
-
-    return poly_from_coeffs(gf, (elem_from_bits(s) for s in bits))
 
 
 def elem_to_text(gf: GF2m, c: int) -> str:
@@ -461,8 +427,6 @@ def elem_to_text(gf: GF2m, c: int) -> str:
     if gf._log is not None:
         k = gf._log[c]
         return "g" if k == 1 else f"g{k}"
-    from .gf2field import elem_to_bits
-
     return "b" + elem_to_bits(c, gf.m)
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from goppa_orbits import enumeration
+from goppa_orbits import enumeration, intnt
 from goppa_orbits.cli import main
 from goppa_orbits.enumeration import bound
 from goppa_orbits.errors import InternalCheckError
@@ -203,6 +203,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_failed_check_names_itself_and_leaves_stdout_empty(self, capsys, monkeypatch, fmt):
+        # the suite takes the Möbius count as 6 F, so a wrong F fails all three count checks
         monkeypatch.setattr(enumeration, "fixed_orbit_count_formula", lambda params: 4)
         code, out, err = run(
             capsys,
@@ -210,7 +211,24 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == "internal check failed: verification suite 'fixed-orbits' failed: fixed orbit count (3 == 4)\n"
+        assert err == (
+            "internal check failed: verification suite 'fixed-orbits' failed: "
+            "divisor polynomial count matches the Möbius formula (18 == 24); "
+            "order-based count agrees (e_set_count = 18); fixed orbit count (3 == 4)\n"
+        )
+
+    def test_mobius_sum_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = intnt.mobius_power_sum
+
+        def counting(base, r):
+            calls.append((base, r))
+            return real(base, r)
+
+        monkeypatch.setattr(intnt, "mobius_power_sum", counting)
+        code, _, _ = run(capsys, "verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7")
+        assert code == 0
+        assert calls == [(2, 7)]
 
     def test_nontrivial_stabilizer_fails_the_full_size_check(self, capsys, monkeypatch):
         import goppa_orbits.cli as cli
@@ -285,12 +303,12 @@ class TestOrbitsCommand:
         code, out, err = run(capsys, "orbits", "--q", "8", "--r", "999999999")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert err == "error: enumeration of 8^999999999 = 2^2999999997 candidates exceeds the 2^20 guard\n"
+        assert err == "error: enumeration of q^r = 8^999999999 = 2^2999999997 candidates exceeds the 2^20 guard\n"
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "999999999")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert err == "error: element domain 8^999999999 exceeds the 2^16 guard\n"
+        assert err == "error: element domain q^r = 8^999999999 exceeds the 2^16 guard\n"
 
     def test_non_power_of_two_rejected(self, capsys):
         code, _, err = run(capsys, "orbits", "--q", "6", "--r", "2")
@@ -346,6 +364,72 @@ class TestFieldInfoCommand:
         code, _, err = run(capsys, "field-info", "--m", "3", "--modulus", "x^3+1")
         assert code == 1
         assert "reducible" in err
+
+
+# Each numeric option of each subcommand, given an empty, negative, non-numeric or
+# huge value.  Every huge value is refused before any work: composite where a
+# prime is needed, even where r must be odd, not a power of two for --q, past the
+# 64-bit ceiling for a field or tower degree, outside GF(2^6) for --alpha.
+_OPTION_BASES = {
+    "bound": (["bound", "--n", "5", "--r", "7"], ("--n", "--r")),
+    "table": (["table", "--n", "5", "--r", "7"], ("--n",)),
+    "fixed-orbits": (["verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7"], ("--n", "--r")),
+    "bijection": (["verify", "--suite", "bijection", "--n", "2", "--r", "5"], ("--n", "--r")),
+    "orbits": (["orbits", "--q", "8", "--r", "3"], ("--q", "--r")),
+    "goppa": (["goppa", "--n", "3", "--r", "2", "--alpha", "min"], ("--n", "--r", "--alpha")),
+    "field-info": (["field-info", "--m", "6"], ("--m",)),
+}
+_BAD_VALUES = {"empty": "", "negative": "-5", "non-numeric": "xyz", "huge": "99999999998"}
+_OPTION_CASES = [
+    (command, option, kind) for command, (_, options) in _OPTION_BASES.items()
+    for option in options for kind in _BAD_VALUES
+] + [
+    # table's --r is a list whose refused values are rows, so only a malformed list exits 1
+    ("table", "--r", "empty"), ("table", "--r", "non-numeric"),
+    # --max-domain-bits only lowers a guard, so a huge value is not an error
+    *((command, "--max-domain-bits", kind) for command in ("fixed-orbits", "bijection", "orbits")
+      for kind in ("empty", "negative", "non-numeric")),
+]
+
+
+def _with_option(command, option, value):
+    argv = list(_OPTION_BASES[command][0])
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    return argv
+
+
+class TestOptionErrors:
+    @pytest.mark.parametrize("command, option, kind", _OPTION_CASES)
+    def test_bad_value_names_its_option(self, capsys, command, option, kind):
+        value = "ffffffffffffffff" if (option, kind) == ("--alpha", "huge") else _BAD_VALUES[kind]
+        try:
+            code = main(_with_option(command, option, value))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        # the last line is the message; argparse prints a usage line naming every option before it
+        message = captured.err.splitlines()[-1]
+        assert re.search(rf"(?<!\w){option[2:]}(?!\w)", message), message
+
+    @pytest.mark.parametrize("value", ["-5", "0", "99999999998"])
+    def test_table_refuses_a_bad_degree_as_a_row(self, capsys, value):
+        code, out, err = run(capsys, "table", "--n", "5", "--r", f"7,{value}")
+        assert (code, out) == (0, "upper bounds for n = 5 (code length 33)\n  r = 7   bound = 29991\n")
+        assert err.startswith(f"rejected r={value}: ")
+        assert re.search(r"(?<!\w)r(?!\w)", err.split(": ", 1)[1])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--suite", "bijection", "--n", "0", "--r", "5"], "field degree n = 0 outside supported range 1..64"),
+        (["field-info", "--m", "0"], "field degree m = 0 outside supported range 1..64"),
+        (["goppa", "--n", "3", "--r", "99999999999", "--alpha", "min"],
+         "composite degree n*r = 299999999997 exceeds the 64-bit ceiling"),
+    ], ids=["bijection-n", "field-info-m", "goppa-n-r"])
+    def test_renamed_messages(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestUsageErrors:

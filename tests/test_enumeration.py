@@ -285,8 +285,8 @@ class TestBruteForce:
         with pytest.raises(GuardError) as err:
             brute_force_orbit_count(gf8, 10**9, "PGL", "elements")
         assert time.perf_counter() - start < 1
-        assert str(err.value) == "element domain 8^1000000000 exceeds the 2^16 guard"
-        with pytest.raises(GuardError, match=r"^element domain 2\^17 exceeds the 2\^16 guard$"):
+        assert str(err.value) == "element domain q^r = 8^1000000000 exceeds the 2^16 guard"
+        with pytest.raises(GuardError, match=r"^element domain q\^r = 2\^17 exceeds the 2\^16 guard$"):
             brute_force_orbit_count(gf2, 17, "PGL", "elements")
 
     @pytest.mark.parametrize("m, r", [(1, 16), (1, 9), (2, 5), (3, 4), (4, 3)])

@@ -14,7 +14,6 @@ from goppa_orbits.goppa import (
     congruence_holds,
     extend_code,
     permutation_equivalent,
-    puncture_last,
     weight_enumerator,
 )
 
@@ -108,11 +107,6 @@ class TestExtension:
         ext = extend_code(base_code)
         assert ext.dimension == base_code.dimension == 2
         assert ext.length == 9
-
-    def test_puncture_extend_involution(self, base_code):
-        back = puncture_last(extend_code(base_code))
-        assert back.generator == base_code.generator
-        assert set(back.codewords()) == set(base_code.codewords())
 
 
 class TestWeightEnumerator:
