@@ -475,15 +475,15 @@ def pgl2_binary_subgroup() -> tuple[Matrix, ...]:
 
 
 def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
-    """How many members of PGL(f) divide x^(2^r) + x.
+    """How many members of PGL(f) divide x^(2^r) + x, from the materialized orbit.
 
     Precondition: f itself is a divisor polynomial.  Oracle for the
     six divisors per class of `fixed_orbit_classes`.
     """
-    for divisors in fixed_orbit_classes(params).values():
-        if f in divisors:
-            return len(divisors)
-    raise ValueError("f must itself divide x^(2^r) + x")
+    divisors = set(divisor_polynomials(params))
+    if f not in divisors:
+        raise ValueError("f must itself divide x^(2^r) + x")
+    return len(divisors.intersection(pgl_orbit(make_field(params.n), f).members))
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,40 @@ from .gf2field import (
 from .polyq import Parameters, e_set_count, poly_to_bits, poly_to_text
 
 CSV_HEADER = "n,r,q,fixed_orbits,pgl_orbits,bound"
+COMMANDS = ("bound", "table", "verify", "orbits", "goppa", "field-info")
+
+
+def _help_width() -> int:
+    """shutil.get_terminal_size().columns - 2, argparse's default width, without importing shutil.
+
+    argparse builds a HelpFormatter for every add_argument, and each one
+    imports shutil for this number; the first import also loads bz2,
+    lzma, zlib and fnmatch, which no command needs.
+    """
+    import os
+
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def __init__(self, prog, **kwargs):
+        super().__init__(prog, width=_help_width(), **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
+    # Subparsers are built with type(self), so they get this formatter too.
+    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
     # argparse exits 2 on usage errors by default; 2 is reserved here for
     # internal assertion failures, so remap usage problems to 1.
     def error(self, message):
@@ -188,7 +219,11 @@ def _cmd_orbits(args) -> list[str] | dict:
     q = args.q
     if q < 2 or q & (q - 1):
         raise ValueError(f"q={q} must be a power of two, at least 2")
-    gf = make_field(q.bit_length() - 1)
+    m = q.bit_length() - 1
+    # GF2m's own refusal names its degree m; here the option is q = 2^m.
+    if m > MAX_DEGREE:
+        raise GuardError(f"q = 2^{m} outside supported range 2..2^{MAX_DEGREE}")
+    gf = make_field(m)
     _check_domain_guard(gf, args.r, args.max_domain_bits)
     orbits = list(pgl_orbits(gf, args.r))
     if args.format == "json":
@@ -303,9 +338,16 @@ def _modulus(text: str) -> int:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the named subcommands, all of COMMANDS by default.
+
+    With fewer, the usage line still lists all of COMMANDS, so a usage
+    error reads the same as from the full parser.  The full parser keeps
+    argparse's own wording for a missing or unknown subcommand.
+    """
     parser = _Parser(prog="goppa-orbits", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    metavar = None if tuple(commands) == COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
     def add_format(p, csv=True):
         choices = ("plain", "json", "csv") if csv else ("plain", "json")
@@ -315,53 +357,61 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-domain-bits", type=int, default=None, action=_NonNegative,
                        help="lower the enumeration guard (never raises the built-in ceiling)")
 
-    p = sub.add_parser("bound", help="exact inequivalent-code upper bound for one (n, r)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_bound)
+    if "bound" in commands:
+        p = sub.add_parser("bound", help="exact inequivalent-code upper bound for one (n, r)")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        add_format(p)
+        p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("table", help="bounds for one n and a list of degrees")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", dest="r_list", type=_int_list, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_table)
+    if "table" in commands:
+        p = sub.add_parser("table", help="bounds for one n and a list of degrees")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", dest="r_list", type=_int_list, required=True)
+        add_format(p)
+        p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify", help="brute-force verification suites")
-    p.add_argument("--suite", choices=("fixed-orbits", "bijection"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    add_max_domain_bits(p)
-    add_format(p, csv=False)
-    p.set_defaults(func=_cmd_verify)
+    if "verify" in commands:
+        p = sub.add_parser("verify", help="brute-force verification suites")
+        p.add_argument("--suite", choices=("fixed-orbits", "bijection"), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        add_max_domain_bits(p)
+        add_format(p, csv=False)
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("orbits", help="dump all PGL orbits of degree-r irreducibles")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--members", action="store_true", help="include full member lists (json)")
-    add_max_domain_bits(p)
-    add_format(p)
-    p.set_defaults(func=_cmd_orbits)
+    if "orbits" in commands:
+        p = sub.add_parser("orbits", help="dump all PGL orbits of degree-r irreducibles")
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--members", action="store_true", help="include full member lists (json)")
+        add_max_domain_bits(p)
+        add_format(p)
+        p.set_defaults(func=_cmd_orbits)
 
-    p = sub.add_parser("goppa", help="build one extended code and report it")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=_alpha, required=True,
-                   help="hex representation of the defining element, or 'min'")
-    add_format(p, csv=False)
-    p.set_defaults(func=_cmd_goppa)
+    if "goppa" in commands:
+        p = sub.add_parser("goppa", help="build one extended code and report it")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--alpha", type=_alpha, required=True,
+                       help="hex representation of the defining element, or 'min'")
+        add_format(p, csv=False)
+        p.set_defaults(func=_cmd_goppa)
 
-    p = sub.add_parser("field-info", help="describe GF(2^m) and its modulus")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--modulus", type=_modulus, default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
-    add_format(p, csv=False)
-    p.set_defaults(func=_cmd_field_info)
+    if "field-info" in commands:
+        p = sub.add_parser("field-info", help="describe GF(2^m) and its modulus")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--modulus", type=_modulus, default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
+        add_format(p, csv=False)
+        p.set_defaults(func=_cmd_field_info)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the invoked subcommand's parser; anything else gets all of them.
+    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     # Exact output has no size limit: lift Python's int-to-str digit cap
     # (3.11+) while the command runs, and restore it for in-process callers.
     saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None

@@ -463,6 +463,12 @@ class TestSigmaRFixedOrbits:
         for f in divs:
             assert count_divisors_in_orbit(f, params) == 6
 
+    def test_count_divisors_in_orbit_does_not_read_the_classes(self, monkeypatch):
+        # the oracle counts divisors in the materialized orbit, not in the classes it checks
+        params = Parameters(3, 5, strict=False)
+        monkeypatch.setattr(action, "fixed_orbit_classes", lambda params: {f: (f,) for f in divisor_polynomials(params)})
+        assert [count_divisors_in_orbit(f, params) for f in divisor_polynomials(params)] == [6] * 6
+
     def test_witness_matrices_produce_the_six(self, gf8):
         params = Parameters(3, 5, strict=False)
         divs = set(divisor_polynomials(params))

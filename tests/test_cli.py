@@ -3,13 +3,14 @@
 import contextlib
 import json
 import re
+import shutil
 import sys
 import time
 
 import pytest
 
-from goppa_orbits import enumeration, intnt
-from goppa_orbits.cli import main
+from goppa_orbits import cli, enumeration, intnt
+from goppa_orbits.cli import COMMANDS, build_parser, main
 from goppa_orbits.enumeration import bound
 from goppa_orbits.errors import InternalCheckError
 from goppa_orbits.polyq import Parameters
@@ -427,9 +428,85 @@ class TestOptionErrors:
         (["field-info", "--m", "0"], "field degree m = 0 outside supported range 1..64"),
         (["goppa", "--n", "3", "--r", "99999999999", "--alpha", "min"],
          "composite degree n*r = 299999999997 exceeds the 64-bit ceiling"),
-    ], ids=["bijection-n", "field-info-m", "goppa-n-r"])
+        # GF2m would name its degree m; the option is q = 2^m
+        (["orbits", "--q", str(2**65), "--r", "2"], "q = 2^65 outside supported range 2..2^64"),
+        (["orbits", "--q", str(2**70), "--r", "2"], "q = 2^70 outside supported range 2..2^64"),
+    ], ids=["bijection-n", "field-info-m", "goppa-n-r", "orbits-q-2^65", "orbits-q-2^70"])
     def test_renamed_messages(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def _parse(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends in SystemExit (help or a usage error)."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+def _full_parse(argv):
+    build_parser().parse_args(argv)
+
+
+@pytest.fixture(params=[None, "120", "40", "junk"], ids=lambda columns: f"COLUMNS={columns}")
+def columns(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", request.param)
+    return request.param
+
+
+class TestNarrowParser:
+    """main builds only the invoked subcommand's parser, and prints what the full parser prints."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, columns, command):
+        valid = _OPTION_BASES["fixed-orbits" if command == "verify" else command][0]
+        # -h, a missing required option, and an unrecognized argument (reported with the top-level usage line)
+        for argv in ([command, "-h"], [command], valid + ["--bogus"]):
+            narrow = _parse(capsys, main, argv)
+            assert narrow == _parse(capsys, _full_parse, argv)
+            assert narrow[0] == (0 if "-h" in argv else 1)
+        usage = "usage: goppa-orbits [-h] {bound,table,verify,orbits,goppa,field-info} ... goppa-orbits: error:"
+        assert usage in " ".join(narrow[2].split())
+
+    @pytest.mark.parametrize("argv, code, line", [
+        ([], 1, "goppa-orbits: error: the following arguments are required: subcommand"),
+        (["frob"], 1, "goppa-orbits: error: argument subcommand: invalid choice: "),
+        (["-h"], 0, "usage: goppa-orbits [-h] {bound,table,verify,orbits,goppa,field-info} ..."),
+    ])
+    def test_top_level_wording(self, capsys, monkeypatch, argv, code, line):
+        monkeypatch.setenv("COLUMNS", "120")
+        result = _parse(capsys, main, argv)
+        assert result == _parse(capsys, _full_parse, argv)
+        assert result[0] == code
+        assert line in (result[1] or result[2])
+
+    @pytest.mark.parametrize("argv, built", [
+        (["bound", "--n", "5", "--r", "7"], ("bound",)),
+        (["field-info", "-h"], ("field-info",)),
+        ([], COMMANDS),
+        (["-h"], COMMANDS),
+        (["frob", "bound"], COMMANDS),
+        (["bou", "--n", "5"], COMMANDS),
+    ])
+    def test_only_the_invoked_subcommand_is_built(self, capsys, monkeypatch, argv, built):
+        calls = []
+
+        def recording(commands=COMMANDS):
+            calls.append(tuple(commands))
+            return build_parser(commands)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert calls == [built]
+
+    def test_help_width_is_argparse_default(self, columns):
+        # argparse's own default: HelpFormatter asks shutil and subtracts 2
+        assert cli._help_width() == shutil.get_terminal_size().columns - 2
 
 
 class TestUsageErrors:

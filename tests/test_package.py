@@ -25,6 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Modules no benchmarked command runs: dataclasses pulls in inspect, fractions
 # pulls in decimal, json is for --format json, goppa for the goppa subcommand.
 NOT_AT_START_UP = {"dataclasses", "inspect", "fractions", "decimal", "json", "goppa_orbits.goppa"}
+# argparse's HelpFormatter imports shutil for the terminal width, and shutil the
+# compression modules and fnmatch; the CLI's formatter asks os instead.
+NOT_ON_THE_PARSE_PATH = {"shutil", "bz2", "lzma", "fnmatch"}
 QUINTIC = (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1, irreducible over GF(8) since gcd(5, 3) = 1
 
 
@@ -36,6 +39,19 @@ class TestImportSet:
         loaded = set(proc.stdout.split())
         assert "goppa_orbits.cli" in loaded
         assert NOT_AT_START_UP & loaded == set()
+
+    def test_bound_parses_its_command_line_without_shutil(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from goppa_orbits.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['bound', '--n', '5', '--r', '7', '--format', 'csv'])\n"
+            "assert (code, out.getvalue()) == (0, 'n,r,q,fixed_orbits,pgl_orbits,bound\\n5,7,32,3,149943,29991\\n')\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert NOT_ON_THE_PARSE_PATH & set(proc.stdout.split()) == set()
 
     def test_goppa_names_load_on_first_use(self):
         import goppa_orbits.goppa
