@@ -252,27 +252,61 @@ class Orbit(namedtuple("Orbit", "members")):
 
 
 def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
-    """Coefficients of f(x + v), by repeated synthetic division."""
+    """Coefficients of f(x + v).
+
+    In characteristic 2, binom(j, i) is odd iff the bits of i lie in j
+    (Lucas), so c_i = f_i + the sum of v^(j-i) f_j over those j > i.
+    """
     c = list(f)
     if v:
-        rv = gf.rows[v]
         top = len(c) - 1
-        for i in range(top):
-            acc = c[top]
-            for j in range(top - 1, i - 1, -1):
-                acc = c[j] = c[j] ^ rv[acc]
+        powers = _power_rows(gf, v, top)
+        for i, j, d in _lucas_terms(top):
+            c[i] ^= powers[d][f[j]]
     return c
+
+
+@lru_cache(maxsize=32)
+def _lucas_terms(top: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, j - i) for each j <= top and each i < j whose bits lie in j."""
+    terms = []
+    for j in range(1, top + 1):
+        i = j
+        while i:
+            i = (i - 1) & j
+            terms.append((i, j, j - i))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=512)
+def _power_rows(gf: GF2m, v: int, top: int) -> tuple:
+    """The product rows of v^0, ..., v^top."""
+    rows, out, p = gf.rows, [], 1
+    for _ in range(top + 1):
+        out.append(rows[p])
+        p = rows[p][v]
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _scaling_table(gf: GF2m, e: int) -> tuple[bytes, ...]:
+    """Row l, column k: exp[(l - e k) mod s], i.e. c u^-e for log c = l and u = g^k.
+
+    Rows are bytes, as the PGL guard keeps q <= 128.  A row index
+    l - log(lead) in (-s, s) needs no reduction mod s: Python's negative
+    indices wrap around the s rows.
+    """
+    s, exp = gf.mult_order, gf._exp
+    return tuple(bytes(exp[(l - e * k) % s] for k in range(s)) for l in range(s))
 
 
 @lru_cache(maxsize=64)
 def _least_scalings(gf: GF2m, e: int) -> tuple[tuple[int, ...], ...]:
-    """Indexed by log c (c != 0): every k for which c * u^-e, u = g^k, is least."""
-    s, exp = gf.mult_order, gf._exp
+    """Row l: every k at which row l of `_scaling_table(gf, e)` is least."""
     out = []
-    for lc in range(s):
-        vals = [exp[(lc - e * k) % s] for k in range(s)]
-        low = min(vals)
-        out.append(tuple(k for k, val in enumerate(vals) if val == low))
+    for row in _scaling_table(gf, e):
+        low = min(row)
+        out.append(tuple(k for k, val in enumerate(row) if val == low))
     return tuple(out)
 
 
@@ -302,21 +336,18 @@ def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, 
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
     r = _check_seed(gf, f)
-    s = gf.mult_order
-    exp, log = gf._exp, gf._log
-    ones = [1] * s
+    s, log = gf.mult_order, gf._log
+    # x -> u x, made monic: c_j u^(j - r) / c_r over u = g^k is a table column.
+    tables = [_scaling_table(gf, r - j) for j in range(r)]
+    zero, ones = bytes(s), b"\x01" * s
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
     members = set()
     for _, h in _coset_representatives(gf, f, r):
+        lead = log[h[r]]
         for v in range(gf.order):
             c = _taylor_shift(gf, h, v)
-            # x -> u x, made monic: c_j u^(j - r) / c_r for u = exp[k].
-            lead = log[c[r]]
-            cols = [
-                [exp[(log[cj] - lead + (j - r) * k) % s] for k in range(s)] if cj else [0] * s
-                for j, cj in enumerate(c[:r])
-            ]
+            cols = [table[log[cj] - lead] if cj else zero for table, cj in zip(tables, c)]
             members.update(zip(ones, *reversed(cols)))
     return tuple(m[::-1] for m in sorted(members))
 
@@ -336,36 +367,37 @@ def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
 def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     """`_canonical_sweep`'s body for a checked seed, memoized per (field, seed).
 
-    Each coset representative h, made monic, goes through translations
-    x -> x + v, then scalings x -> u x, which map c_j to c_j u^(j-r).
-    Only the u minimising the top nonzero c_j below x^r can reach the
-    least member.  For odd r the translation v = h_(r-1) clears x^(r-1)
-    (r = 1 in characteristic 2), and the least member has that
-    coefficient zero; for even r, c_(r-1) = h_(r-1) whatever v is, so
-    every v is tried.  The hits are the group elements sending f to the
-    least member, so there are |Stab(f)| of them.  Costs O(q r^2) steps
-    for odd r and O(q^2 r^2) for even r, against q^3 - q for the orbit,
-    once `_least_scalings` holds its O(q^2) table for each gap r - j.
+    Each coset representative h goes through translations x -> x + v,
+    then scalings x -> u x; made monic, c_j becomes c_j u^(j-r) / h_r (a
+    shift keeps the lead h_r).  Only the u minimising the top nonzero c_j
+    below x^r can reach the least member.  For odd r the translation
+    v = h_(r-1) / h_r clears x^(r-1) (r = 1 in characteristic 2), and the
+    least member has that coefficient zero; for even r, c_(r-1) = h_(r-1)
+    whatever v is, so every v is tried.  The hits are the group elements
+    sending f to the least member, so there are |Stab(f)| of them.  Per
+    seed: q + 1 Taylor shifts at odd r, q(q + 1) at even r, each of fewer
+    than r^1.6 products, and r reads of `_scaling_table` per candidate.
     """
     r = len(f) - 1
     s, rows = gf.mult_order, gf.rows
     exp, log = gf._exp, gf._log
+    tables = [_scaling_table(gf, r - j) for j in range(r)]
+    zero = bytes(s)
     best, hits = None, []
     for gamma, h in _coset_representatives(gf, f, r):
-        if h[r] != 1:
-            rl = rows[gf.inv(h[r])]
-            h = [rl[t] for t in h]
-        for v in (h[r - 1],) if r % 2 else range(gf.order):
+        lead = log[h[r]]
+        # exp has 2s entries, so a negative log difference indexes the right power.
+        for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
             c = _taylor_shift(gf, h, v)
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             top = r - 1
             while not c[top]:
                 top -= 1
             head = (1,) + (0,) * (r - 1 - top)
-            logs = [(log[c[j]], r - j) for j in range(top, -1, -1)]
-            for k in _least_scalings(gf, r - top)[log[c[top]]]:
+            cols = [tables[j][log[c[j]] - lead] if c[j] else zero for j in range(top, -1, -1)]
+            for k in _least_scalings(gf, r - top)[log[c[top]] - lead]:
                 # Highest degree first, where tuple order is poly_sort_key order.
-                cand = head + tuple(exp[(lj - ej * k) % s] if lj >= 0 else 0 for lj, ej in logs)
+                cand = head + tuple(col[k] for col in cols)
                 if best is None or cand < best:
                     best, hits = cand, []
                 if cand == best:

@@ -71,11 +71,6 @@ def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
 
 def poly_divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     gf._check(*f, *g)
-    return _divmod(gf, f, g)
-
-
-def _divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """poly_divmod's body, for loops whose operands are already checked."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
@@ -98,14 +93,37 @@ def _divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return tuple(quot), tuple(rem)
 
 
+def _rem(gf: GF2m, f, g: Poly) -> Poly:
+    """f mod g for operands already checked, building no quotient; a monic g needs no inverse."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return tuple(f)
+    rows, low = gf.rows, g[:-1]
+    r_inv_lead = None if g[-1] == 1 else rows[gf.inv(g[-1])]
+    rem = list(f)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = rem[top]
+        if c:
+            rc = rows[c] if r_inv_lead is None else rows[r_inv_lead[c]]
+            for j, b in enumerate(low, top - dg):
+                rem[j] ^= rc[b]
+    del rem[dg:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
 def poly_mod(gf: GF2m, f: Poly, g: Poly) -> Poly:
-    return poly_divmod(gf, f, g)[1]
+    gf._check(*f, *g)
+    return _rem(gf, f, g)
 
 
 def _gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
     """A greatest common divisor, not made monic; operands already checked."""
     while g:
-        f, g = g, _divmod(gf, f, g)[1]
+        f, g = g, _rem(gf, f, g)
     return f
 
 
@@ -138,7 +156,7 @@ def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
     rows = gf.rows
     out = [0] * (2 * len(f) - 1)
     out[::2] = [rows[a][a] for a in f]
-    return _divmod(gf, tuple(out), mod)[1]
+    return _rem(gf, out, mod)
 
 
 def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
@@ -182,7 +200,7 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
     if r < 1:
         raise ValueError("irreducibility is undefined for constants")
     gf._check(*f)
-    x_mod = _divmod(gf, X, f)[1]
+    x_mod = _rem(gf, X, f)
     t = x_mod
     for _ in range(r // 2):
         for _ in range(gf.m):
@@ -257,6 +275,11 @@ def enumerate_irreducibles(gf: GF2m, r: int):
 # Parameters
 # ---------------------------------------------------------------------------
 
+# q^r = 2^(n r) is the largest number the counting formulas build; n r,
+# its bit size, is refused above 2^20 before any power is taken.
+_BITS_CEILING = 20
+
+
 class Parameters(namedtuple("Parameters", "n r strict")):
     """The pair (n, r) with q = 2^n, plus the arithmetic hypotheses.
 
@@ -264,6 +287,7 @@ class Parameters(namedtuple("Parameters", "n r strict")):
     greater than 3, r >= 3, gcd(r, n) = 1 and gcd(r, q(q^2 - 1)) = 1.
     Relaxed mode skips those checks; the bound computation refuses
     relaxed parameters, but the group-action machinery accepts them.
+    Both modes refuse n r > 2^20 first.
     Every construction, `_make` and `_replace` included, runs the checks,
     so a strict instance is valid by construction.
     """
@@ -273,6 +297,10 @@ class Parameters(namedtuple("Parameters", "n r strict")):
     def __new__(cls, n: int, r: int, strict: bool = True):
         self = super().__new__(cls, n, r, strict)
         require_positive(n=n, r=r)
+        if n * r > 1 << _BITS_CEILING:
+            raise GuardError(
+                f"n*r = {n * r} exceeds the 2^{_BITS_CEILING} ceiling on the bit size of q^r (n = {n}, r = {r})"
+            )
         if strict:
             self.validate()
         return self
@@ -287,8 +315,15 @@ class Parameters(namedtuple("Parameters", "n r strict")):
 
     @staticmethod
     def check_n(n: int) -> None:
-        """The strict hypotheses on n alone, for callers that pair one n with many r."""
+        """The strict hypotheses on n alone, for callers that pair one n with many r.
+
+        As r >= 3, an n above a third of the n*r ceiling is refused here too.
+        """
         require_positive(n=n)
+        if 3 * n > 1 << _BITS_CEILING:
+            raise GuardError(
+                f"n = {n}: n*r exceeds the 2^{_BITS_CEILING} ceiling on the bit size of q^r for every r >= 3"
+            )
         if n <= 3 or not intnt.is_prime(n):
             raise HypothesisError(f"n={n}: n must be an odd prime > 3")
 
@@ -336,7 +371,7 @@ def divides_x2r_plus_x(gf: GF2m, f: Poly, r: int) -> bool:
     t = poly_mod(gf, X, f)
     for _ in range(r):
         t = _sqr_mod(gf, t, f)
-    return _divmod(gf, poly_add(t, X), f)[1] == ZERO
+    return _rem(gf, poly_add(t, X), f) == ZERO
 
 
 def count_divisor_polys_mobius(r: int) -> int:

@@ -13,8 +13,11 @@ from goppa_orbits.action import (
     IDENTITY,
     _canonical_sweep,
     _irreducible_seed,
+    _least_scalings,
     _pgl_orbit_members,
+    _scaling_table,
     _sweep,
+    _taylor_shift,
     act_element,
     act_poly,
     act_poly_semilinear,
@@ -432,6 +435,47 @@ class TestCanonicalSweep:
         blocks = [mat for mat in stab if mat[0] == 1], [mat for mat in stab if mat[0] == 0]
         assert stab == sorted(blocks[0]) + sorted(blocks[1])
         assert len(set(stab)) == len(stab)
+
+
+class TestSweepKernels:
+    """The Taylor shift and the scaling table against routes that share neither."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    # bits of r: 111, 1000, 1101, 10000, 10001, 10011; each adds Lucas subsets
+    @pytest.mark.parametrize("r", [7, 8, 13, 16, 17, 19])
+    def test_taylor_shift_is_the_translation_action(self, m, r, rng):
+        gf = make_field(m)
+        f = tuple(rng.randrange(gf.order) for _ in range(r)) + (1,)
+        # coset representatives are not monic; a shift commutes with scaling
+        lead = rng.randrange(2, gf.order)
+        h = poly_scale(gf, lead, f)
+        for v in range(gf.order):
+            shifted = act_poly(gf, (1, v, 0, 1), f)
+            assert _taylor_shift(gf, f, v) == list(shifted)
+            assert _taylor_shift(gf, h, v) == list(poly_scale(gf, lead, shifted))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_least_scalings_are_the_brute_force_argmin(self, m):
+        gf = make_field(m)
+        s = gf.mult_order
+        powers = [1]
+        for _ in range(s - 1):
+            powers.append(gf.mul(powers[-1], gf.generator))
+        for e in range(1, 20):
+            # c u^-e for c = g^l and u = g^k, by field arithmetic instead of logarithms
+            scalings = []
+            for u in powers:
+                u_e = 1
+                for _ in range(e):
+                    u_e = gf.mul(u_e, u)
+                scalings.append(gf.inv(u_e))
+            least = []
+            for l, c in enumerate(powers):
+                vals = [gf.rows[c][w] for w in scalings]
+                assert list(_scaling_table(gf, e)[l]) == vals
+                low = min(vals)
+                least.append(tuple(k for k, val in enumerate(vals) if val == low))
+            assert _least_scalings(gf, e) == tuple(least)
 
 
 class TestSigmaRFixedOrbits:

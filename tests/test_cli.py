@@ -370,7 +370,9 @@ class TestFieldInfoCommand:
 # Each numeric option of each subcommand, given an empty, negative, non-numeric or
 # huge value.  Every huge value is refused before any work: composite where a
 # prime is needed, even where r must be odd, not a power of two for --q, past the
-# 64-bit ceiling for a field or tower degree, outside GF(2^6) for --alpha.
+# 64-bit ceiling for a field or tower degree, outside GF(2^6) for --alpha.  Each
+# --n and --r also gets the prime 2^61 - 1, which meets every hypothesis on its
+# own, so only a size ceiling refuses it: n*r for the formulas, else a degree's.
 _OPTION_BASES = {
     "bound": (["bound", "--n", "5", "--r", "7"], ("--n", "--r")),
     "table": (["table", "--n", "5", "--r", "7"], ("--n",)),
@@ -381,9 +383,13 @@ _OPTION_BASES = {
     "field-info": (["field-info", "--m", "6"], ("--m",)),
 }
 _BAD_VALUES = {"empty": "", "negative": "-5", "non-numeric": "xyz", "huge": "99999999998"}
+_HUGE_PRIME = str(2**61 - 1)
 _OPTION_CASES = [
     (command, option, kind) for command, (_, options) in _OPTION_BASES.items()
     for option in options for kind in _BAD_VALUES
+] + [
+    (command, option, "huge-prime") for command, (_, options) in _OPTION_BASES.items()
+    for option in options if option in ("--n", "--r")
 ] + [
     # table's --r is a list whose refused values are rows, so only a malformed list exits 1
     ("table", "--r", "empty"), ("table", "--r", "non-numeric"),
@@ -405,7 +411,7 @@ def _with_option(command, option, value):
 class TestOptionErrors:
     @pytest.mark.parametrize("command, option, kind", _OPTION_CASES)
     def test_bad_value_names_its_option(self, capsys, command, option, kind):
-        value = "ffffffffffffffff" if (option, kind) == ("--alpha", "huge") else _BAD_VALUES[kind]
+        value = "ffffffffffffffff" if (option, kind) == ("--alpha", "huge") else _BAD_VALUES.get(kind, _HUGE_PRIME)
         try:
             code = main(_with_option(command, option, value))
         except SystemExit as exc:  # argparse usage errors
@@ -416,7 +422,7 @@ class TestOptionErrors:
         message = captured.err.splitlines()[-1]
         assert re.search(rf"(?<!\w){option[2:]}(?!\w)", message), message
 
-    @pytest.mark.parametrize("value", ["-5", "0", "99999999998"])
+    @pytest.mark.parametrize("value", ["-5", "0", "99999999998", _HUGE_PRIME])
     def test_table_refuses_a_bad_degree_as_a_row(self, capsys, value):
         code, out, err = run(capsys, "table", "--n", "5", "--r", f"7,{value}")
         assert (code, out) == (0, "upper bounds for n = 5 (code length 33)\n  r = 7   bound = 29991\n")

@@ -28,6 +28,7 @@ from goppa_orbits.errors import GuardError, HypothesisError, InternalCheckError
 from goppa_orbits.gf2field import gf2_is_irreducible, make_field, make_tower
 from goppa_orbits.polyq import (
     Parameters,
+    _rem,
     count_divisor_polys_mobius,
     count_irreducibles,
     divisor_polynomials,
@@ -101,6 +102,20 @@ class TestRingOps:
             q, rem = poly_divmod(gf8, fn, g)
             assert poly_add(poly_mul(gf8, q, g), rem) == fn
             assert len(rem) < len(g)
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 9])
+    def test_remainder_without_quotient(self, m, rng):
+        # the reduction behind Ben-Or's loop, _gcd and poly_mod; at m = 9 rows are computed
+        gf = make_field(m)
+        for len_f in range(10):
+            for len_g in range(1, 8):
+                # monic, then non-monic divisors (GF(2) has only monic ones); len_g > len_f leaves f as it is
+                for lead in (1, rng.randrange(1, gf.order)):
+                    f = poly_add(tuple(rng.randrange(gf.order) for _ in range(len_f)), ())
+                    g = tuple(rng.randrange(gf.order) for _ in range(len_g - 1)) + (lead,)
+                    assert _rem(gf, f, g) == poly_mod(gf, f, g) == poly_divmod(gf, f, g)[1]
+        with pytest.raises(ZeroDivisionError):
+            poly_mod(gf, (1, 1), ())
 
     def test_invmod(self, gf8, rng):
         g = (3, 1, 1)  # irreducible? ensured below
@@ -402,6 +417,21 @@ class TestParameters:
     def test_non_positive_names_itself(self, n, r, name, value):
         with pytest.raises(HypothesisError, match=rf"^{name} must be positive, got {name} = {value}$"):
             Parameters(n, r, strict=False)
+
+    def test_bit_ceiling_is_checked_before_any_power(self):
+        # q^r = 2^(n r): n r = 2^20 is admitted, one bit more is refused in both modes, naming n and r
+        assert Parameters(1 << 10, 1 << 10, strict=False).r == 1 << 10
+        message = r"^n\*r = 1048577 exceeds the 2\^20 ceiling on the bit size of q\^r \(n = 1048577, r = 1\)$"
+        with pytest.raises(GuardError, match=message):
+            Parameters(2**20 + 1, 1, strict=False)
+        # 2^61 - 1 is prime: only the ceiling stands between it and 1 << n
+        for strict in (True, False):
+            with pytest.raises(GuardError, match=r"\(n = 2305843009213693951, r = 7\)$"):
+                Parameters(2**61 - 1, 7, strict)
+            with pytest.raises(GuardError, match=r"\(n = 5, r = 2305843009213693951\)$"):
+                Parameters(5, 2**61 - 1, strict)
+        with pytest.raises(GuardError, match=r"^n = 2305843009213693951: n\*r exceeds .* for every r >= 3$"):
+            Parameters.check_n(2**61 - 1)
 
     def test_relaxed_skips_hypotheses(self):
         Parameters(3, 2, strict=False)
