@@ -252,11 +252,8 @@ class Orbit(namedtuple("Orbit", "members")):
 
 
 def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
-    """Coefficients of f(x + v).
-
-    In characteristic 2, binom(j, i) is odd iff the bits of i lie in j
-    (Lucas), so c_i = f_i + the sum of v^(j-i) f_j over those j > i.
-    """
+    """Coefficients of f(x + v): c_i = f_i + the sum of v^(j-i) f_j over the j > i
+    whose bits contain those of i, as binom(j, i) is odd just for those (Lucas)."""
     c = list(f)
     if v:
         top = len(c) - 1
@@ -269,32 +266,21 @@ def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
 @lru_cache(maxsize=32)
 def _lucas_terms(top: int) -> tuple[tuple[int, int, int], ...]:
     """(i, j, j - i) for each j <= top and each i < j whose bits lie in j."""
-    terms = []
-    for j in range(1, top + 1):
-        i = j
-        while i:
-            i = (i - 1) & j
-            terms.append((i, j, j - i))
-    return tuple(terms)
+    return tuple((i, j, j - i) for j in range(1, top + 1) for i in range(j) if i & j == i)
 
 
 @lru_cache(maxsize=512)
 def _power_rows(gf: GF2m, v: int, top: int) -> tuple:
-    """The product rows of v^0, ..., v^top."""
-    rows, out, p = gf.rows, [], 1
-    for _ in range(top + 1):
-        out.append(rows[p])
-        p = rows[p][v]
-    return tuple(out)
+    """The product rows of v^0, ..., v^top (v != 0)."""
+    s, exp, lv = gf.mult_order, gf._exp, gf._log[v]
+    return tuple(gf.rows[exp[lv * d % s]] for d in range(top + 1))
 
 
 @lru_cache(maxsize=64)
 def _scaling_table(gf: GF2m, e: int) -> tuple[bytes, ...]:
-    """Row l, column k: exp[(l - e k) mod s], i.e. c u^-e for log c = l and u = g^k.
+    """Row l, column k: c u^-e for log c = l and u = g^k, as bytes (q <= 128).
 
-    Rows are bytes, as the PGL guard keeps q <= 128.  A row index
-    l - log(lead) in (-s, s) needs no reduction mod s: Python's negative
-    indices wrap around the s rows.
+    A row index l - log(lead) in (-s, s) needs no reduction mod s.
     """
     s, exp = gf.mult_order, gf._exp
     return tuple(bytes(exp[(l - e * k) % s] for k in range(s)) for l in range(s))
@@ -375,8 +361,8 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     least member has that coefficient zero; for even r, c_(r-1) = h_(r-1)
     whatever v is, so every v is tried.  The hits are the group elements
     sending f to the least member, so there are |Stab(f)| of them.  Per
-    seed: q + 1 Taylor shifts at odd r, q(q + 1) at even r, each of fewer
-    than r^1.6 products, and r reads of `_scaling_table` per candidate.
+    seed: q + 1 Taylor shifts at odd r, q(q + 1) at even r, each under
+    r^1.6 products, and r `_scaling_table` reads per candidate.
     """
     r = len(f) - 1
     s, rows = gf.mult_order, gf.rows

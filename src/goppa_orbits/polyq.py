@@ -275,8 +275,7 @@ def enumerate_irreducibles(gf: GF2m, r: int):
 # Parameters
 # ---------------------------------------------------------------------------
 
-# q^r = 2^(n r) is the largest number the counting formulas build; n r,
-# its bit size, is refused above 2^20 before any power is taken.
+# n r, the bit size of q^r, the largest number the counting formulas build
 _BITS_CEILING = 20
 
 
@@ -315,10 +314,7 @@ class Parameters(namedtuple("Parameters", "n r strict")):
 
     @staticmethod
     def check_n(n: int) -> None:
-        """The strict hypotheses on n alone, for callers that pair one n with many r.
-
-        As r >= 3, an n above a third of the n*r ceiling is refused here too.
-        """
+        """The strict hypotheses on n alone, with r >= 3 in the n*r ceiling, for callers that pair one n with many r."""
         require_positive(n=n)
         if 3 * n > 1 << _BITS_CEILING:
             raise GuardError(
