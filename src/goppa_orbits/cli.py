@@ -156,6 +156,9 @@ def _check_domain_guard(gf: GF2m, r: int, user_bits: int | None) -> None:
 
 
 def _cmd_verify(args) -> list[str] | dict:
+    # GF2m's own refusal names its degree m; here that degree is the option n.
+    if not 1 <= args.n <= MAX_DEGREE:
+        raise GuardError(f"field degree n = {args.n} outside supported range 1..{MAX_DEGREE}")
     # Each check is (label, passed, detail).
     if args.suite == "fixed-orbits":
         params = Parameters(args.n, args.r)
@@ -187,9 +190,6 @@ def _cmd_verify(args) -> list[str] | dict:
             "witness_matrices": [[elem_to_bits(e, gf.m) for e in m] for m in pgl2_binary_subgroup()],
         }
     else:
-        # GF2m's own refusal names its degree m; here that degree is the option n.
-        if not 1 <= args.n <= MAX_DEGREE:
-            raise GuardError(f"field degree n = {args.n} outside supported range 1..{MAX_DEGREE}")
         gf = make_field(args.n)
         _check_domain_guard(gf, args.r, args.max_domain_bits)
         # Elements first: their 2^16 ceiling is the lower one, so it refuses before any polynomial work.

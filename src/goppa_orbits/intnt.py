@@ -1,88 +1,51 @@
 """Integer number theory: factorization, Möbius, Euler phi.
 
-Factorization is Miller-Rabin plus Brent's cycle-finding rho, with no
-embedded factor tables.  The fixed Miller-Rabin bases (the primes up to
-37) are proven deterministic only below about 3.3e24 (the bound is
-3317044064679887385961981); above it a composite could in principle
-pass as prime.  What this package factors (degrees, and 2^k - 1 for
-k <= 64) lies far below that bound.
+Every integer the CLI factors is small: `Parameters` refuses n*r > 2^20,
+so r and n stay below 2^20; the field generator factors 2^m - 1 for
+m <= 16; and `verify --suite fixed-orbits` reaches `e_set`, which
+factors 2^r - 1, only for r <= 16.  So factorization is plain trial
+division, exact at every size it accepts.  It refuses n of more than
+FACTOR_GUARD_BITS = 40 bits with a GuardError; below that, its worst
+case is a prime or a semiprime with two ~20-bit factors, about 2^19
+divisions.  Only library calls reach the guard: `poly_order` at
+q^d > 2^40 and `e_set_count` at r > 40.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
-from .errors import InternalCheckError
+from .errors import GuardError, InternalCheckError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+FACTOR_GUARD_BITS = 40
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set (deterministic below ~3.3e24)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """Brent's rho; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as a sorted tuple of (prime, exponent).
-
-    Exact for n below about 3.3e24, where the Miller-Rabin bases are
-    proven deterministic; beyond that a reported prime is only probable.
-    """
+    """Prime factorization as a sorted tuple of (prime, exponent), by trial division."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    factors: dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return tuple(sorted(factors.items()))
+    if n.bit_length() > FACTOR_GUARD_BITS:
+        raise GuardError(
+            f"factorize: {n.bit_length()}-bit n exceeds the 2^{FACTOR_GUARD_BITS} trial-division guard"
+        )
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
 
 
 def divisors(n: int) -> list[int]:

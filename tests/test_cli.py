@@ -431,13 +431,15 @@ class TestOptionErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--suite", "bijection", "--n", "0", "--r", "5"], "field degree n = 0 outside supported range 1..64"),
+        (["verify", "--suite", "fixed-orbits", "--n", "67", "--r", "5"],
+         "field degree n = 67 outside supported range 1..64"),
         (["field-info", "--m", "0"], "field degree m = 0 outside supported range 1..64"),
         (["goppa", "--n", "3", "--r", "99999999999", "--alpha", "min"],
          "composite degree n*r = 299999999997 exceeds the 64-bit ceiling"),
         # GF2m would name its degree m; the option is q = 2^m
         (["orbits", "--q", str(2**65), "--r", "2"], "q = 2^65 outside supported range 2..2^64"),
         (["orbits", "--q", str(2**70), "--r", "2"], "q = 2^70 outside supported range 2..2^64"),
-    ], ids=["bijection-n", "field-info-m", "goppa-n-r", "orbits-q-2^65", "orbits-q-2^70"])
+    ], ids=["bijection-n", "fixed-orbits-n", "field-info-m", "goppa-n-r", "orbits-q-2^65", "orbits-q-2^70"])
     def test_renamed_messages(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 

@@ -69,7 +69,7 @@ class TestBound:
             bound(Parameters(4, 7, strict=False))
 
     def test_strict_parameters_validated_once(self, monkeypatch):
-        # Construction checks n = 5 once; factorize(7) adds the Möbius sums' one primality test.
+        # Construction checks n = 5 once; nothing else tests a primality.
         calls = []
         real = intnt.is_prime
 
@@ -80,7 +80,7 @@ class TestBound:
         monkeypatch.setattr(intnt, "is_prime", recording)
         intnt.factorize.cache_clear()
         assert bound(Parameters(5, 7)).bound == 29991
-        assert calls == [5, 7]
+        assert calls == [5]
 
     def test_monotone_in_r(self):
         values = [bound(Parameters(7, r)).bound for r in sorted(TABLE_N7)]
