@@ -31,7 +31,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import GuardError, InternalCheckError
-from .gf2field import GF2m, Tower, make_field, make_tower
+from .gf2field import GF2m, Tower, make_field
 from .polyq import (
     Parameters,
     Poly,
@@ -39,7 +39,6 @@ from .polyq import (
     enumerate_irreducibles,
     is_irreducible,
     poly_frobenius,
-    poly_sort_key,
 )
 
 Matrix = tuple[int, int, int, int]
@@ -508,7 +507,7 @@ def count_divisors_in_orbit(f: Poly, params: Parameters) -> int:
 # Element orbits and the affine decomposition
 # ---------------------------------------------------------------------------
 
-def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tuple[list[int], list[int]]:
+def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tuple[list[int], tuple[int, ...]]:
     """alpha and each 1/(alpha + gamma), whose AGL orbits make up PGL(alpha); and F_q, embedded.
 
     degree is alpha's degree over the base field, which the caller has
@@ -517,11 +516,11 @@ def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tup
     _check_pgl_guard(tower.base.order)
     if degree < 2:
         raise ValueError("element orbits need alpha of degree >= 2 over the base field")
-    base = [tower.embed(b) for b in range(tower.base.order)]
+    base = tower.embedded
     return [alpha] + [tower.ext.inv(alpha ^ e) for e in base], base
 
 
-def _affine_images(ext: GF2m, reps: list[int], base: list[int]) -> frozenset[int]:
+def _affine_images(ext: GF2m, reps: list[int], base: tuple[int, ...]) -> frozenset[int]:
     """{a * rep + b : rep in reps, a != 0} for a, b in the embedded base field (base[0] = 0)."""
     scaled = [ext.rows[rep][a] for rep in reps for a in base[1:]]
     return frozenset(s ^ b for s in scaled for b in base)

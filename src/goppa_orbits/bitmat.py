@@ -2,7 +2,7 @@
 
 A matrix is a list of ints; bit j of row i is the entry in row i,
 column j.  Everything here is plain Gaussian elimination, used for
-subfield kernels, embedding inversion and binary-code kernels.
+subfield kernels and binary-code kernels.
 """
 
 from __future__ import annotations

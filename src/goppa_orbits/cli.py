@@ -250,6 +250,7 @@ def _cmd_orbits(args) -> list[str] | dict:
 def _cmd_goppa(args) -> list[str] | dict:
     from . import goppa
 
+    goppa.check_length(args.n)
     tower = make_tower(args.n, args.r)
     if args.alpha is None:
         alpha = next(a for a in range(tower.ext.order) if tower.degree_over(a) == args.r)

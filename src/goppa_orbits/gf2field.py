@@ -26,14 +26,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitmat import kernel_basis, row_reduce
+from .bitmat import kernel_basis
 from .errors import GuardError, require_positive
 from .intnt import factorize
 
 MAX_DEGREE = 64
 _TABLE_DEGREE = 16
 _ROW_TABLE_DEGREE = 8
-_ROOT_SCAN_DEGREE = 16
+_TOWER_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +172,9 @@ class GF2m:
             raise GuardError(f"field degree m = {m} outside supported range 1..{MAX_DEGREE}")
         if modulus is None:
             modulus = smallest_irreducible(m)
-        if modulus.bit_length() - 1 != m:
+        elif modulus.bit_length() - 1 != m:
             raise ValueError(f"modulus degree {modulus.bit_length() - 1} != m={m}")
-        if not gf2_is_irreducible(modulus):
+        elif not gf2_is_irreducible(modulus):
             raise ValueError(f"modulus {modulus_to_text(modulus)} is reducible over GF(2)")
         self.m = m
         self.modulus = modulus
@@ -304,12 +304,16 @@ class Tower:
 
     The embedding sends the base generator to `root`, a root of the base
     modulus inside the extension; it is a field homomorphism fixing
-    GF(2).  `r` and `n` are recoverable as ext.m // base.m and base.m.
+    GF(2).  `embedded[a]` is the image of a, the XOR of root^i over the
+    bits i of a; its 2^n entries cap n at 16.  `r` and `n` are
+    recoverable as ext.m // base.m and base.m.
     """
 
     def __init__(self, base: GF2m, ext: GF2m, root: int):
         if ext.m % base.m != 0:
             raise ValueError("extension degree is not a multiple of the base degree")
+        if base.m > _TOWER_DEGREE:
+            raise GuardError(f"tower base degree {base.m} exceeds the table ceiling {_TOWER_DEGREE}")
         self.base = base
         self.ext = ext
         self.n = base.m
@@ -317,13 +321,13 @@ class Tower:
         self.root = root
         if _eval_gf2poly(ext, base.modulus, root) != 0:
             raise ValueError("root does not satisfy the base modulus")
-        wpows = [1]
-        for _ in range(base.m - 1):
-            wpows.append(ext.mul(wpows[-1], root))
-        self._wpows = wpows
-        # Each row carries the base element it embeds in the bits above ext.m.
-        rows = [w | 1 << (ext.m + i) for i, w in enumerate(wpows)]
-        self._unembed_rows = list(zip(*row_reduce(rows, ext.m)))
+        embedded = [0]
+        power = 1
+        for _ in range(base.m):
+            embedded += [e ^ power for e in embedded]
+            power = ext.mul(power, root)
+        self.embedded = tuple(embedded)
+        self._preimage = {y: a for a, y in enumerate(embedded)}
 
     def __repr__(self) -> str:
         return f"Tower(GF(2^{self.n}) < GF(2^{self.ext.m}))"
@@ -331,25 +335,14 @@ class Tower:
     def embed(self, a: int) -> int:
         """Image of a base-field element in the extension."""
         self.base._check(a)
-        y = 0
-        i = 0
-        while a:
-            if a & 1:
-                y ^= self._wpows[i]
-            a >>= 1
-            i += 1
-        return y
+        return self.embedded[a]
 
     def unembed(self, y: int) -> int:
         """Preimage of an extension element lying in the embedded base field."""
         self.ext._check(y)
-        for row, col in self._unembed_rows:
-            if (y >> col) & 1:
-                y ^= row
-        m = self.ext.m
-        if y & ((1 << m) - 1):
+        if y not in self._preimage:
             raise ValueError("element is not in the embedded base field")
-        return y >> m
+        return self._preimage[y]
 
     def frob_q(self, alpha: int) -> int:
         """alpha^q, the base-field Frobenius."""
@@ -421,23 +414,21 @@ def _eval_gf2poly(gf: GF2m, poly: int, at: int) -> int:
     return acc
 
 
-def make_tower(n: int, r: int, root_choice: int = 0) -> Tower:
+def make_tower(n: int, r: int) -> Tower:
     """Build GF(2^n) < GF(2^(nr)) with the deterministic embedding.
 
-    The base generator maps to the (root_choice)-th smallest root of the
-    base modulus in the extension (0 = smallest, the default used
-    everywhere; other choices exist only to check that results are
-    embedding-independent).
+    The base generator maps to the smallest root of the base modulus in
+    the extension; the other roots are its Frobenius conjugates.
     """
     require_positive(n=n, r=r)
     if n * r > MAX_DEGREE:
         raise GuardError(f"composite degree n*r = {n * r} exceeds the {MAX_DEGREE}-bit ceiling")
-    if n > _ROOT_SCAN_DEGREE:
-        raise GuardError(f"tower base degree {n} exceeds the root-scan ceiling {_ROOT_SCAN_DEGREE}")
+    if n > _TOWER_DEGREE:
+        raise GuardError(f"tower base degree {n} exceeds the root-scan ceiling {_TOWER_DEGREE}")
     base = make_field(n)
     ext = make_field(n * r)
     # Roots of the base modulus all live in the copy of GF(2^n) inside ext.
     roots = [z for z in subfield_elements(ext, n) if _eval_gf2poly(ext, base.modulus, z) == 0]
     if len(roots) != n:
         raise AssertionError("an irreducible of degree n must have n roots in GF(2^(nr))")
-    return Tower(base, ext, roots[root_choice])
+    return Tower(base, ext, roots[0])

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from .bitmat import kernel_basis, rank
 from .errors import GuardError, InternalCheckError
-from .gf2field import Tower
+from .gf2field import MAX_DEGREE, Tower
 from .polyq import Poly, is_irreducible, poly_add, poly_degree, poly_eval, poly_invmod, poly_mod
 
-_LENGTH_GUARD = 1 << 10
+_LENGTH_DEGREE = 10
 _WEIGHT_ENUM_DIM_GUARD = 24
 _PERM_SEARCH_LENGTH_GUARD = 9
 
@@ -87,13 +87,19 @@ class GoppaSpec:
         return range(self.tower.base.order)
 
 
+def check_length(n: int) -> None:
+    """Refuse base degree n > 10 (length q = 2^n over the 2^10 guard) without building q."""
+    if n > _LENGTH_DEGREE:
+        length = 1 << n if n <= MAX_DEGREE else f"2^n with n = {n}"
+        raise GuardError(f"code length {length} exceeds the 2^10 guard")
+
+
 def build_goppa(spec: GoppaSpec) -> BinaryCode:
     """The length-q code of the congruence, via the parity-check row."""
     tower = spec.tower
     ext = tower.ext
     q = tower.base.order
-    if q > _LENGTH_GUARD:
-        raise GuardError(f"code length {q} exceeds the 2^10 guard")
+    check_length(tower.n)
     h_row = [ext.inv(spec.alpha ^ tower.embed(ai)) for ai in spec.support]
     bin_rows = []
     for k in range(ext.m):

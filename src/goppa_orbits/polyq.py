@@ -181,7 +181,7 @@ def poly_frobenius(gf: GF2m, f: Poly, k: int) -> Poly:
 
 
 def poly_sort_key(f: Poly):
-    """Total order: by degree, then coefficients from highest degree down."""
+    """By degree, then coefficients from the top: the oracle for `_pgl_orbit_members`'s member order."""
     return (len(f), tuple(reversed(f)))
 
 

@@ -347,6 +347,14 @@ class TestGoppaCommand:
         code, out, err = run(capsys, "goppa", "--n", n, "--r", r, "--alpha", "min")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_length_refused_before_the_tower(self, capsys, monkeypatch):
+        def no_tower(n, r):
+            raise AssertionError("make_tower called")
+
+        monkeypatch.setattr(cli, "make_tower", no_tower)
+        code, out, err = run(capsys, "goppa", "--n", "16", "--r", "4", "--alpha", "min")
+        assert (code, out, err) == (1, "", "error: code length 65536 exceeds the 2^10 guard\n")
+
 
 class TestFieldInfoCommand:
     def test_default_modulus(self, capsys):

@@ -223,9 +223,35 @@ class TestTower:
     def test_unembed_outside_image_raises(self, tower_3_2):
         t = tower_3_2
         img = {t.embed(a) for a in range(8)}
-        outside = next(y for y in range(t.ext.order) if y not in img)
-        with pytest.raises(ValueError):
-            t.unembed(outside)
+        outside = [y for y in range(t.ext.order) if y not in img]
+        assert len(outside) == 56
+        for y in outside:
+            with pytest.raises(ValueError, match="not in the embedded base field"):
+                t.unembed(y)
+
+    @pytest.mark.parametrize("n, r", [(3, 2), (5, 7), (8, 2)])
+    def test_embedded_is_the_power_basis_sum(self, n, r):
+        # embedded[a] is the XOR of root^i over the bits i of a
+        t = make_tower(n, r)
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(t.ext.mul(powers[-1], t.root))
+        assert len(t.embedded) == t.base.order
+        for a in range(t.base.order):
+            expected = 0
+            for i, power in enumerate(powers):
+                if (a >> i) & 1:
+                    expected ^= power
+            assert t.embedded[a] == expected
+
+    def test_base_degree_above_16_refused_before_the_table(self, monkeypatch):
+        base, ext = make_field(17), make_field(34)
+        calls = []
+        # the root check and the table both multiply in ext; neither may run
+        monkeypatch.setattr(ext, "mul", lambda a, b: calls.append((a, b)) or 0)
+        with pytest.raises(GuardError, match="table ceiling 16"):
+            Tower(base, ext, 0)
+        assert calls == []
 
     def test_degree_overflow_guard(self):
         with pytest.raises(GuardError):
@@ -304,13 +330,17 @@ def poly_eval_oracle(gf, f, a):
 
 
 class TestEmbeddingIndependence:
-    def test_second_root_gives_identical_divisor_set(self):
-        first = divisor_polynomials_by_minpoly(make_tower(3, 5, root_choice=0))
-        second = divisor_polynomials_by_minpoly(make_tower(3, 5, root_choice=1))
-        assert first == second
+    # Every root of the base modulus is a Frobenius conjugate of the first,
+    # so squaring the root gives the tower under a second embedding.
+    def test_second_root_gives_identical_divisor_set(self, tower_3_5):
+        t = tower_3_5
+        second = Tower(t.base, t.ext, t.ext.square(t.root))
+        assert second.root != t.root
+        assert divisor_polynomials_by_minpoly(second) == divisor_polynomials_by_minpoly(t)
 
-    def test_second_root_is_still_homomorphism(self):
-        t = make_tower(3, 2, root_choice=1)
+    def test_second_root_is_still_homomorphism(self, tower_3_2):
+        t = Tower(tower_3_2.base, tower_3_2.ext, tower_3_2.ext.square(tower_3_2.root))
+        assert t.root != tower_3_2.root
         for a in range(8):
             for b in range(8):
                 assert t.embed(t.base.mul(a, b)) == t.ext.mul(t.embed(a), t.embed(b))
