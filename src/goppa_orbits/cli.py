@@ -252,6 +252,8 @@ def _cmd_goppa(args) -> list[str] | dict:
 
     goppa.check_length(args.n)
     tower = make_tower(args.n, args.r)
+    if args.r < 2:
+        raise ValueError(f"goppa codes need degree r >= 2, got r = {args.r}")
     if args.alpha is None:
         alpha = next(a for a in range(tower.ext.order) if tower.degree_over(a) == args.r)
     else:

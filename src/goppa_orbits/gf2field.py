@@ -418,7 +418,8 @@ def make_tower(n: int, r: int) -> Tower:
     """Build GF(2^n) < GF(2^(nr)) with the deterministic embedding.
 
     The base generator maps to the smallest root of the base modulus in
-    the extension; the other roots are its Frobenius conjugates.
+    the extension, where the ascending scan of GF(2^n) stops; the other
+    roots are its n - 1 Frobenius conjugates, all above it.
     """
     require_positive(n=n, r=r)
     if n * r > MAX_DEGREE:
@@ -428,7 +429,8 @@ def make_tower(n: int, r: int) -> Tower:
     base = make_field(n)
     ext = make_field(n * r)
     # Roots of the base modulus all live in the copy of GF(2^n) inside ext.
-    roots = [z for z in subfield_elements(ext, n) if _eval_gf2poly(ext, base.modulus, z) == 0]
-    if len(roots) != n:
+    root = next(z for z in subfield_elements(ext, n) if _eval_gf2poly(ext, base.modulus, z) == 0)
+    conjugates = {ext.frobenius(root, k) for k in range(n)}
+    if len(conjugates) != n or min(conjugates) != root:
         raise AssertionError("an irreducible of degree n must have n roots in GF(2^(nr))")
-    return Tower(base, ext, roots[0])
+    return Tower(base, ext, root)

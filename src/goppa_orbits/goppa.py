@@ -9,7 +9,7 @@ g monic irreducible of degree r over F_q.  Concretely the single row
 a root of g, is expanded into nr binary rows over the power basis of
 the extension generator (i.e. the bits of our element representation)
 and the code is the GF(2) kernel.  Every construction re-checks the
-congruence by polynomial arithmetic, independently of the matrix path.
+congruence by synthetic division, independently of the matrix path.
 
 Codewords are bit-packed ints: bit i is coordinate i, and coordinate i
 of the support is the field element with integer representation i.
@@ -18,43 +18,46 @@ of the support is the field element with integer representation i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitmat import kernel_basis, rank
 from .errors import GuardError, InternalCheckError
 from .gf2field import MAX_DEGREE, Tower
-from .polyq import Poly, is_irreducible, poly_add, poly_degree, poly_eval, poly_invmod, poly_mod
+from .polyq import is_irreducible, poly_degree, poly_eval
 
 _LENGTH_DEGREE = 10
 _WEIGHT_ENUM_DIM_GUARD = 24
 _PERM_SEARCH_LENGTH_GUARD = 9
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(namedtuple("BinaryCode", "length generator parity_check dimension")):
     """A binary linear code given by generator and parity-check rows.
 
     Construction validates that the generator rows are independent, that
     generator and parity-check rows are orthogonal, and that the
-    dimension matches length - rank(parity_check).
+    dimension matches length - rank(parity_check), in `_make` and
+    `_replace` too.
     """
 
-    length: int
-    generator: tuple[int, ...]
-    parity_check: tuple[int, ...]
-    dimension: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dimension != len(self.generator):
+    def __new__(cls, length: int, generator: tuple[int, ...], parity_check: tuple[int, ...], dimension: int):
+        self = super().__new__(cls, length, generator, parity_check, dimension)
+        if dimension != len(generator):
             raise ValueError("dimension must equal the number of generator rows")
-        if rank(list(self.generator), self.length) != self.dimension:
+        if rank(list(generator), length) != dimension:
             raise ValueError("generator rows are linearly dependent")
-        for g in self.generator:
-            for h in self.parity_check:
+        for g in generator:
+            for h in parity_check:
                 if (g & h).bit_count() & 1:
                     raise ValueError("generator row fails a parity check")
-        if self.length - rank(list(self.parity_check), self.length) != self.dimension:
+        if length - rank(list(parity_check), length) != dimension:
             raise ValueError("parity-check rank disagrees with the dimension")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def codewords(self):
         """All 2^dimension codewords, in Gray-code order starting at 0."""
@@ -65,26 +68,22 @@ class BinaryCode:
             yield word
 
 
-@dataclass(frozen=True)
-class GoppaSpec:
-    """Everything needed to build one code: the tower, g, and a root."""
+class GoppaSpec(namedtuple("GoppaSpec", "tower g alpha")):
+    """Everything needed to build one code: the tower, g, and a root, checked like `BinaryCode`."""
 
-    tower: Tower
-    g: Poly
-    alpha: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        gf = self.tower.base
-        r = poly_degree(self.g)
-        if r < 2 or self.g[-1] != 1 or not is_irreducible(gf, self.g):
+    def __new__(cls, tower: Tower, g: tuple[int, ...], alpha: int):
+        self = super().__new__(cls, tower, g, alpha)
+        if poly_degree(g) < 2 or g[-1] != 1 or not is_irreducible(tower.base, g):
             raise ValueError("the defining polynomial must be monic irreducible of degree >= 2")
-        if poly_eval(self.tower.ext, tuple(map(self.tower.embed, self.g)), self.alpha) != 0:
+        if poly_eval(tower.ext, tuple(map(tower.embed, g)), alpha) != 0:
             raise ValueError("alpha is not a root of the defining polynomial")
+        return self
 
-    @property
-    def support(self) -> range:
-        """L = F_q in integer order."""
-        return range(self.tower.base.order)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def check_length(n: int) -> None:
@@ -100,7 +99,7 @@ def build_goppa(spec: GoppaSpec) -> BinaryCode:
     ext = tower.ext
     q = tower.base.order
     check_length(tower.n)
-    h_row = [ext.inv(spec.alpha ^ tower.embed(ai)) for ai in spec.support]
+    h_row = [ext.inv(spec.alpha ^ e) for e in tower.embedded]
     bin_rows = []
     for k in range(ext.m):
         row = 0
@@ -114,28 +113,33 @@ def build_goppa(spec: GoppaSpec) -> BinaryCode:
         parity_check=tuple(bin_rows),
         dimension=len(basis),
     )
-    _check_congruence(spec, code.generator)
+    # The congruence is GF(2)-linear in the word, so checking a basis checks the code.
+    if not all(congruence_holds(spec, word) for word in code.generator):
+        raise InternalCheckError("matrix kernel violates the defining congruence")
     return code
 
 
-def _check_congruence(spec: GoppaSpec, words: tuple[int, ...]) -> None:
-    """Re-derive membership from the defining congruence, symbolically.
-
-    The congruence is GF(2)-linear in the codeword, so checking a basis
-    checks the whole code.
-    """
-    if not all(congruence_holds(spec, word) for word in words):
-        raise InternalCheckError("matrix kernel violates the defining congruence")
-
-
 def congruence_holds(spec: GoppaSpec, word: int) -> bool:
-    """Does a single length-q word satisfy the defining congruence?"""
+    """Does a single length-q word satisfy the defining congruence?
+
+    For each coordinate a in the word, one Horner pass divides g by
+    x - a: g(x) = (x - a) Q_a(x) + g(a), Q_a's coefficients from the top
+    down, then g(a).  g has no root in F_q, so 1/(x - a) = Q_a(x) / g(a)
+    mod g, and the sum of these terms has degree < r: no reduction.
+    """
     gf = spec.tower.base
-    total: Poly = ()
-    for i in spec.support:
-        if (word >> i) & 1:
-            total = poly_add(total, poly_invmod(gf, (i, 1), spec.g))
-    return poly_mod(gf, total, spec.g) == ()
+    rows = gf.rows
+    total = [0] * poly_degree(spec.g)
+    for a in range(gf.order):
+        if (word >> a) & 1:
+            ra, acc, quotient = rows[a], 0, []
+            for c in reversed(spec.g):
+                acc = ra[acc] ^ c
+                quotient.append(acc)
+            scale = rows[gf.inv(quotient.pop())]
+            for i, c in enumerate(quotient):
+                total[i] ^= scale[c]
+    return not any(total)
 
 
 def extend_code(code: BinaryCode) -> BinaryCode:

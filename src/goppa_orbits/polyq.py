@@ -47,13 +47,8 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     return tuple(out)
 
 
-def poly_scale(gf: GF2m, c: int, f: Poly) -> Poly:
-    gf._check(c, *f)
-    rc = gf.rows[c]
-    return tuple(rc[a] for a in f) if c else ZERO
-
-
 def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
+    """The schoolbook product; oracle for `enumerate_irreducibles`, which multiplies no polynomial."""
     gf._check(*f, *g)
     if not f or not g:
         return ZERO
@@ -70,6 +65,7 @@ def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
 
 
 def poly_divmod(gf: GF2m, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder by long division; oracle for `_rem`, which builds no quotient."""
     gf._check(*f, *g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -115,11 +111,6 @@ def _rem(gf: GF2m, f, g: Poly) -> Poly:
     return tuple(rem)
 
 
-def poly_mod(gf: GF2m, f: Poly, g: Poly) -> Poly:
-    gf._check(*f, *g)
-    return _rem(gf, f, g)
-
-
 def _gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
     """A greatest common divisor, not made monic; operands already checked."""
     while g:
@@ -136,19 +127,6 @@ def poly_eval(gf: GF2m, f: Poly, a: int) -> int:
     return acc
 
 
-def poly_invmod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
-    """Inverse of f modulo mod; requires gcd(f, mod) = 1."""
-    r0, r1 = mod, poly_mod(gf, f, mod)
-    s0, s1 = ZERO, ONE
-    while r1:
-        q, rem = poly_divmod(gf, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_add(s0, poly_mul(gf, q, s1))
-    if poly_degree(r0) != 0:
-        raise ZeroDivisionError("polynomial is not invertible modulo the given modulus")
-    return poly_mod(gf, poly_scale(gf, gf.inv(r0[0]), s0), mod)
-
-
 def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
     """f^2 mod `mod` for operands already checked; cross terms vanish in characteristic 2."""
     if not f:
@@ -163,14 +141,15 @@ def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
     """f^e mod `mod` for arbitrary-precision e >= 0; oracle for `e_set_count`, through `poly_order`."""
     if e < 0:
         raise ValueError("negative polynomial exponent")
-    result = poly_mod(gf, ONE, mod)
-    f = poly_mod(gf, f, mod)
+    gf._check(*f, *mod)
+    result = _rem(gf, ONE, mod)
+    f = _rem(gf, f, mod)
     while e:
         if e & 1:
-            result = poly_mod(gf, poly_mul(gf, result, f), mod)
+            result = _rem(gf, poly_mul(gf, result, f), mod)
         e >>= 1
         if e:
-            f = poly_mod(gf, poly_mul(gf, f, f), mod)
+            f = _rem(gf, poly_mul(gf, f, f), mod)
     return result
 
 
@@ -355,7 +334,7 @@ def poly_order(gf: GF2m, f: Poly) -> int:
     d = poly_degree(f)
     m = gf.order**d - 1
     e = m
-    one = poly_mod(gf, ONE, f)
+    one = _rem(gf, ONE, f)
     for p, _ in intnt.factorize(m):
         while e % p == 0 and poly_powmod(gf, X, e // p, f) == one:
             e //= p
@@ -364,7 +343,8 @@ def poly_order(gf: GF2m, f: Poly) -> int:
 
 def divides_x2r_plus_x(gf: GF2m, f: Poly, r: int) -> bool:
     """Does f divide x^(2^r) + x?  r squarings mod f over GF(q); oracle for `divisor_polynomials`."""
-    t = poly_mod(gf, X, f)
+    gf._check(*f)
+    t = _rem(gf, X, f)
     for _ in range(r):
         t = _sqr_mod(gf, t, f)
     return _rem(gf, poly_add(t, X), f) == ZERO

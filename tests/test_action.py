@@ -50,9 +50,12 @@ from goppa_orbits.polyq import (
     poly_frobenius,
     poly_eval,
     poly_mul,
-    poly_scale,
     poly_sort_key,
 )
+
+
+def poly_scale(gf, c, f):
+    return tuple(gf.mul(c, a) for a in f)
 
 
 class TestGroupEnumeration:

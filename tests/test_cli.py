@@ -444,10 +444,13 @@ class TestOptionErrors:
         (["field-info", "--m", "0"], "field degree m = 0 outside supported range 1..64"),
         (["goppa", "--n", "3", "--r", "99999999999", "--alpha", "min"],
          "composite degree n*r = 299999999997 exceeds the 64-bit ceiling"),
+        (["goppa", "--n", "3", "--r", "1", "--alpha", "min"], "goppa codes need degree r >= 2, got r = 1"),
+        (["goppa", "--n", "3", "--r", "1", "--alpha", "1"], "goppa codes need degree r >= 2, got r = 1"),
         # GF2m would name its degree m; the option is q = 2^m
         (["orbits", "--q", str(2**65), "--r", "2"], "q = 2^65 outside supported range 2..2^64"),
         (["orbits", "--q", str(2**70), "--r", "2"], "q = 2^70 outside supported range 2..2^64"),
-    ], ids=["bijection-n", "fixed-orbits-n", "field-info-m", "goppa-n-r", "orbits-q-2^65", "orbits-q-2^70"])
+    ], ids=["bijection-n", "fixed-orbits-n", "field-info-m", "goppa-n-r", "goppa-r-1-min", "goppa-r-1-alpha",
+            "orbits-q-2^65", "orbits-q-2^70"])
     def test_renamed_messages(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 

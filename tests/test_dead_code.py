@@ -45,6 +45,8 @@ ORACLES = {
     "action.pgammal_inverse": "enumeration.brute_force_orbit_count",
     "action.act_poly_semilinear": "enumeration.brute_force_orbit_count",
     "action.count_divisors_in_orbit": "action.fixed_orbit_classes",
+    "polyq.poly_mul": "polyq.enumerate_irreducibles",
+    "polyq.poly_divmod": "polyq._rem",
     "polyq.divides_x2r_plus_x": "polyq.divisor_polynomials",
     "polyq.divisor_polynomials_by_minpoly": "polyq.divisor_polynomials",
     "polyq.poly_order": "polyq.e_set_count",

@@ -205,15 +205,13 @@ class TestTower:
             order += 1
         assert order == 7
 
-    def test_root_is_smallest(self, tower_3_2):
-        t = tower_3_2
-        roots = [
-            z
-            for z in subfield_elements(t.ext, 3)
-            if _eval_base_modulus(t, z) == 0
-        ]
-        assert t.root == min(roots)
-        assert len(roots) == 3
+    def test_root_is_smallest(self):
+        # make_tower stops at the first root; this scans every subfield element
+        for n, r in [(3, 2), (3, 5), (7, 5), (8, 2)]:
+            t = make_tower(n, r)
+            roots = [z for z in subfield_elements(t.ext, n) if _eval_base_modulus(t, z) == 0]
+            assert len(roots) == n
+            assert t.root == min(roots)
 
     def test_unembed_round_trip(self, tower_5_7):
         t = tower_5_7
@@ -303,7 +301,7 @@ class TestDegreeAndMinimalPolynomial:
 
     def test_minpoly_irreducible_by_trial_division(self, tower_3_5, rng):
         # oracle: no factor of degree <= 2 over GF(8)
-        from goppa_orbits.polyq import poly_mod
+        from goppa_orbits.polyq import poly_divmod
 
         t = tower_3_5
         gf = t.base
@@ -319,7 +317,7 @@ class TestDegreeAndMinimalPolynomial:
             if t.degree_over(alpha) != 5:
                 continue
             mp = t.minimal_polynomial(alpha)
-            assert all(poly_mod(gf, mp, d) != () for d in small)
+            assert all(poly_divmod(gf, mp, d)[1] != () for d in small)
 
 
 def poly_eval_oracle(gf, f, a):

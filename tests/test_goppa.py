@@ -51,6 +51,37 @@ class TestBinaryCodeInvariants:
         assert weight_enumerator(code) == [1, 0, 0, 0, 0, 0]
 
 
+class TestRecords:
+    """The code records are namedtuples that every construction validates."""
+
+    def test_replace_revalidates(self, base_code, spec_3_2, tower_3_2, alpha_3_2):
+        dependent = base_code.generator + base_code.generator[:1]
+        with pytest.raises(ValueError, match="linearly dependent") as direct:
+            BinaryCode(base_code.length, dependent, base_code.parity_check, base_code.dimension + 1)
+        with pytest.raises(ValueError, match="linearly dependent") as replaced:
+            base_code._replace(generator=dependent, dimension=base_code.dimension + 1)
+        assert str(replaced.value) == str(direct.value)
+        non_root = 1  # g is irreducible of degree 2, so g(1) != 0
+        with pytest.raises(ValueError, match="not a root") as direct:
+            GoppaSpec(tower_3_2, spec_3_2.g, non_root)
+        with pytest.raises(ValueError, match="not a root") as replaced:
+            spec_3_2._replace(alpha=non_root)
+        assert str(replaced.value) == str(direct.value)
+        assert spec_3_2._replace(alpha=tower_3_2.frob_q(alpha_3_2)).alpha == tower_3_2.frob_q(alpha_3_2)
+
+    def test_fields_equality_hashing_and_immutability(self, base_code, spec_3_2):
+        assert BinaryCode._fields == ("length", "generator", "parity_check", "dimension")
+        assert GoppaSpec._fields == ("tower", "g", "alpha")
+        again = BinaryCode(**base_code._asdict())
+        assert again == base_code and hash(again) == hash(base_code)
+        assert GoppaSpec(*spec_3_2) == spec_3_2 and hash(GoppaSpec(*spec_3_2)) == hash(spec_3_2)
+        for record, field in [(base_code, "dimension"), (spec_3_2, "alpha")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+
 class TestBuildGoppa:
     def test_zero_word_is_codeword(self, base_code, spec_3_2):
         assert 0 in set(base_code.codewords())
@@ -67,15 +98,10 @@ class TestBuildGoppa:
         for w in base_code.codewords():
             assert congruence_holds(spec_3_2, w)
 
-    def test_non_codewords_fail_congruence(self, base_code, spec_3_2, rng):
+    def test_non_codewords_fail_congruence(self, base_code, spec_3_2):
+        # all 256 words of length 8: the congruence holds exactly on the kernel
         words = set(base_code.codewords())
-        checked = 0
-        while checked < 100:
-            w = rng.randrange(1 << base_code.length)
-            if w in words:
-                continue
-            assert not congruence_holds(spec_3_2, w)
-            checked += 1
+        assert [w for w in range(1 << base_code.length) if congruence_holds(spec_3_2, w)] == sorted(words)
 
     def test_alpha_must_be_root(self, tower_3_2, alpha_3_2):
         t = tower_3_2

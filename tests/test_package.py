@@ -4,7 +4,9 @@ Every CLI invocation pays for its imports before any command runs, so
 the start-up set is checked by name: no module is in it that only some
 commands use.  The three result types are namedtuples; they keep the
 field names, equality, hashing, immutability and repr they had as
-frozen dataclasses.
+frozen dataclasses.  No module of the package imports dataclasses, so
+even the `goppa` subcommand, whose code records are namedtuples too
+(tests/test_goppa.py), runs without it.
 """
 
 import os
@@ -52,6 +54,20 @@ class TestImportSet:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
         assert NOT_ON_THE_PARSE_PATH & set(proc.stdout.split()) == set()
+
+    def test_goppa_runs_without_dataclasses(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from goppa_orbits.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['goppa', '--n', '3', '--r', '2', '--alpha', 'min']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "goppa_orbits.goppa" in loaded
+        assert {"dataclasses", "inspect"} & loaded == set()
 
     def test_goppa_names_load_on_first_use(self):
         import goppa_orbits.goppa
