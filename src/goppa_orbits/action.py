@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 
 from .errors import GuardError, InternalCheckError
@@ -250,49 +251,41 @@ class Orbit(namedtuple("Orbit", "members")):
         return f in self.members
 
 
-def _taylor_shift(gf: GF2m, f, v: int) -> list[int]:
+_Plan = namedtuple("_Plan", "powers lucas tables least")
+
+
+# Each benchmark workload and each CLI command sweeps at a single (field, degree),
+# so a few entries hold a run's working set; one entry at q = 128 is under 0.6 MiB.
+@lru_cache(maxsize=4)
+def _plan(gf: GF2m, r: int) -> _Plan:
+    """The tables a sweep at degree r over gf reads (q <= 128: callers check the PGL guard first).
+
+    powers[v][d]: the product row of v^d for v != 0 and d <= r (powers[0] is empty).
+    lucas: (i, j, j - i) for each j <= r and each i < j whose bits lie in j.
+    tables[j], j < r: row l, column k holds c u^-(r - j) for log c = l and
+    u = g^k, as bytes; a row index l - log(lead) in (-s, s) needs no
+    reduction mod s.  least[j]: row l lists every k at which tables[j][l] is least.
+    """
+    s, rows, exp, log = gf.mult_order, gf.rows, gf._exp, gf._log
+    powers = ((),) + tuple(tuple(rows[exp[log[v] * d % s]] for d in range(r + 1)) for v in range(1, gf.order))
+    lucas = tuple((i, j, j - i) for j in range(1, r + 1) for i in range(j) if i & j == i)
+    tables = tuple(tuple(bytes(exp[(l - (r - j) * k) % s] for k in range(s)) for l in range(s)) for j in range(r))
+    least = tuple(
+        tuple(tuple(k for k, val in enumerate(row) if val == low) for row in table for low in [min(row)])
+        for table in tables
+    )
+    return _Plan(powers, lucas, tables, least)
+
+
+def _taylor_shift(plan: _Plan, f, v: int) -> list[int]:
     """Coefficients of f(x + v): c_i = f_i + the sum of v^(j-i) f_j over the j > i
     whose bits contain those of i, as binom(j, i) is odd just for those (Lucas)."""
     c = list(f)
     if v:
-        top = len(c) - 1
-        powers = _power_rows(gf, v, top)
-        for i, j, d in _lucas_terms(top):
+        powers = plan.powers[v]
+        for i, j, d in plan.lucas:
             c[i] ^= powers[d][f[j]]
     return c
-
-
-@lru_cache(maxsize=32)
-def _lucas_terms(top: int) -> tuple[tuple[int, int, int], ...]:
-    """(i, j, j - i) for each j <= top and each i < j whose bits lie in j."""
-    return tuple((i, j, j - i) for j in range(1, top + 1) for i in range(j) if i & j == i)
-
-
-@lru_cache(maxsize=512)
-def _power_rows(gf: GF2m, v: int, top: int) -> tuple:
-    """The product rows of v^0, ..., v^top (v != 0)."""
-    s, exp, lv = gf.mult_order, gf._exp, gf._log[v]
-    return tuple(gf.rows[exp[lv * d % s]] for d in range(top + 1))
-
-
-@lru_cache(maxsize=64)
-def _scaling_table(gf: GF2m, e: int) -> tuple[bytes, ...]:
-    """Row l, column k: c u^-e for log c = l and u = g^k, as bytes (q <= 128).
-
-    A row index l - log(lead) in (-s, s) needs no reduction mod s.
-    """
-    s, exp = gf.mult_order, gf._exp
-    return tuple(bytes(exp[(l - e * k) % s] for k in range(s)) for l in range(s))
-
-
-@lru_cache(maxsize=64)
-def _least_scalings(gf: GF2m, e: int) -> tuple[tuple[int, ...], ...]:
-    """Row l: every k at which row l of `_scaling_table(gf, e)` is least."""
-    out = []
-    for row in _scaling_table(gf, e):
-        low = min(row)
-        out.append(tuple(k for k, val in enumerate(row) if val == low))
-    return tuple(out)
 
 
 def _check_seed(gf: GF2m, f: Poly) -> int:
@@ -310,7 +303,8 @@ def _check_seed(gf: GF2m, f: Poly) -> int:
 
 def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, list[int]]]:
     """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma)."""
-    reps = [(None, list(f))] + [(gamma, _taylor_shift(gf, f, gamma)[::-1]) for gamma in range(gf.order)]
+    plan = _plan(gf, r)
+    reps = [(None, list(f))] + [(gamma, _taylor_shift(plan, f, gamma)[::-1]) for gamma in range(gf.order)]
     if any(h[r] == 0 for _, h in reps):
         raise InternalCheckError(
             "polynomial action dropped the degree: input reducible or arithmetic bug"
@@ -321,9 +315,9 @@ def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, 
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
     r = _check_seed(gf, f)
+    plan = _plan(gf, r)
     s, log = gf.mult_order, gf._log
     # x -> u x, made monic: c_j u^(j - r) / c_r over u = g^k is a table column.
-    tables = [_scaling_table(gf, r - j) for j in range(r)]
     zero, ones = bytes(s), b"\x01" * s
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
@@ -331,8 +325,8 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     for _, h in _coset_representatives(gf, f, r):
         lead = log[h[r]]
         for v in range(gf.order):
-            c = _taylor_shift(gf, h, v)
-            cols = [table[log[cj] - lead] if cj else zero for table, cj in zip(tables, c)]
+            c = _taylor_shift(plan, h, v)
+            cols = [table[log[cj] - lead] if cj else zero for table, cj in zip(plan.tables, c)]
             members.update(zip(ones, *reversed(cols)))
     return tuple(m[::-1] for m in sorted(members))
 
@@ -361,26 +355,26 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     whatever v is, so every v is tried.  The hits are the group elements
     sending f to the least member, so there are |Stab(f)| of them.  Per
     seed: q + 1 Taylor shifts at odd r, q(q + 1) at even r, each under
-    r^1.6 products, and r `_scaling_table` reads per candidate.
+    r^1.6 products, and r scaling-table columns read per candidate.
     """
     r = len(f) - 1
+    plan = _plan(gf, r)
     s, rows = gf.mult_order, gf.rows
     exp, log = gf._exp, gf._log
-    tables = [_scaling_table(gf, r - j) for j in range(r)]
-    zero = bytes(s)
+    tables, zero = plan.tables, bytes(s)
     best, hits = None, []
     for gamma, h in _coset_representatives(gf, f, r):
         lead = log[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
-            c = _taylor_shift(gf, h, v)
+            c = _taylor_shift(plan, h, v)
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             top = r - 1
             while not c[top]:
                 top -= 1
             head = (1,) + (0,) * (r - 1 - top)
             cols = [tables[j][log[c[j]] - lead] if c[j] else zero for j in range(top, -1, -1)]
-            for k in _least_scalings(gf, r - top)[log[c[top]] - lead]:
+            for k in plan.least[top][log[c[top]] - lead]:
                 # Highest degree first, where tuple order is poly_sort_key order.
                 cand = head + tuple(col[k] for col in cols)
                 if best is None or cand < best:
@@ -457,12 +451,13 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
 
     method="divisibility": does the orbit meet the set of degree-r
     divisors of x^(2^r) + x, i.e. is its canonical form one of theirs?
-    method="direct": is sigma^r f itself an orbit member, i.e. do f and
-    sigma^r f share a canonical form?  The two must agree; tests
-    cross-check them.  f must have degree r and be irreducible: Ben-Or's
-    test runs once per seed while the seed stays in the bounded memo of
-    `_irreducible_seed`, so asking both methods tests f once, and a
-    reducible seed is refused on every call.
+    Such divisors exist only when gcd(r, n) = 1; elsewhere this method
+    raises ValueError.  method="direct": is sigma^r f itself an orbit
+    member, i.e. do f and sigma^r f share a canonical form?  Where both
+    apply they must agree; tests cross-check them.  f must have degree r
+    and be irreducible: Ben-Or's test runs once per seed while the seed
+    stays in the bounded memo of `_irreducible_seed`, so asking both
+    methods tests f once, and a reducible seed is refused on every call.
     """
     gf = make_field(params.n)
     if len(f) - 1 != params.r:
@@ -470,6 +465,9 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     if not _irreducible_seed(gf, tuple(f)):
         raise ValueError("fixed-orbit test needs an irreducible seed")
     if method == "divisibility":
+        common = gcd(params.r, params.n)
+        if common != 1:
+            raise ValueError(f"the divisibility method needs gcd(r, n) = 1, got gcd({params.r}, {params.n}) = {common}")
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
         return orbit_canonical(gf, poly_frobenius(gf, f, params.r)) == orbit_canonical(gf, f)

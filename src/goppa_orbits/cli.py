@@ -162,6 +162,8 @@ def _cmd_verify(args) -> list[str] | dict:
     # Each check is (label, passed, detail).
     if args.suite == "fixed-orbits":
         params = Parameters(args.n, args.r)
+        # The suite's one enumeration is the divisor scan's 2^r binary candidates.
+        _check_domain_guard(make_field(1), args.r, args.max_domain_bits)
         # The divisor polynomials grouped by orbit canonical form: one group per fixed orbit.
         classes = fixed_orbit_classes(params)
         divisor_count = sum(len(members) for members in classes.values())

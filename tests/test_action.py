@@ -5,6 +5,8 @@ fields where a full sweep is cheap.  The heavier exhaustive sweeps (all
 of I_5, all of I_7 sampling) live in the acceptance suite.
 """
 
+from math import gcd
+
 import pytest
 
 from conftest import random_irreducible, random_matrix, random_semilinear
@@ -13,9 +15,8 @@ from goppa_orbits.action import (
     IDENTITY,
     _canonical_sweep,
     _irreducible_seed,
-    _least_scalings,
     _pgl_orbit_members,
-    _scaling_table,
+    _plan,
     _sweep,
     _taylor_shift,
     act_element,
@@ -441,44 +442,72 @@ class TestCanonicalSweep:
 
 
 class TestSweepKernels:
-    """The Taylor shift and the scaling table against routes that share neither."""
+    """The plan's Taylor shift and scaling tables against routes that share neither."""
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     # bits of r: 111, 1000, 1101, 10000, 10001, 10011; each adds Lucas subsets
     @pytest.mark.parametrize("r", [7, 8, 13, 16, 17, 19])
     def test_taylor_shift_is_the_translation_action(self, m, r, rng):
         gf = make_field(m)
+        plan = _plan(gf, r)
         f = tuple(rng.randrange(gf.order) for _ in range(r)) + (1,)
         # coset representatives are not monic; a shift commutes with scaling
         lead = rng.randrange(2, gf.order)
         h = poly_scale(gf, lead, f)
         for v in range(gf.order):
             shifted = act_poly(gf, (1, v, 0, 1), f)
-            assert _taylor_shift(gf, f, v) == list(shifted)
-            assert _taylor_shift(gf, h, v) == list(poly_scale(gf, lead, shifted))
+            assert _taylor_shift(plan, f, v) == list(shifted)
+            assert _taylor_shift(plan, h, v) == list(poly_scale(gf, lead, shifted))
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7])
     def test_least_scalings_are_the_brute_force_argmin(self, m):
         gf = make_field(m)
         s = gf.mult_order
+        r = 19
+        plan = _plan(gf, r)
         powers = [1]
         for _ in range(s - 1):
             powers.append(gf.mul(powers[-1], gf.generator))
-        for e in range(1, 20):
-            # c u^-e for c = g^l and u = g^k, by field arithmetic instead of logarithms
+        for j in range(r):
+            # c u^-(r - j) for c = g^l and u = g^k, by field arithmetic instead of logarithms
             scalings = []
             for u in powers:
                 u_e = 1
-                for _ in range(e):
+                for _ in range(r - j):
                     u_e = gf.mul(u_e, u)
                 scalings.append(gf.inv(u_e))
             least = []
             for l, c in enumerate(powers):
                 vals = [gf.rows[c][w] for w in scalings]
-                assert list(_scaling_table(gf, e)[l]) == vals
+                assert list(plan.tables[j][l]) == vals
                 low = min(vals)
                 least.append(tuple(k for k, val in enumerate(vals) if val == low))
-            assert _least_scalings(gf, e) == tuple(least)
+            assert plan.least[j] == tuple(least)
+
+    def test_one_plan_per_field_and_degree(self, gf8, rng):
+        # a session like the orbit_queries benchmark's: every kernel at (3, 7) reads one plan
+        params = Parameters(3, 7, strict=False)
+        septics = [random_irreducible(gf8, 7, rng) for _ in range(4)]
+        septics += [(2, 0, 0, 0, 0, 0, 0, 1), divisor_polynomials(params)[0]]  # |Stab| = 7; a fixed orbit
+        _plan.cache_clear()
+        _sweep.cache_clear()
+        for f in septics:
+            stabilizer(gf8, f)
+            is_orbit_sigma_r_fixed(f, params, "divisibility")
+            is_orbit_sigma_r_fixed(f, params, "direct")
+            pgl_orbit(gf8, f)
+        info = _plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_a_refused_field_builds_no_plan(self):
+        # the PGL guard refuses q = 256 before any table is built
+        gf256, f = make_field(8), (32, 1, 1)
+        _plan.cache_clear()
+        for call in (lambda: pgl_orbit(gf256, f), lambda: stabilizer(gf256, f),
+                     lambda: is_orbit_sigma_r_fixed(f, Parameters(8, 2, strict=False), "direct")):
+            with pytest.raises(GuardError, match=r"\|PGL2\(F_256\)\|"):
+                call()
+        assert _plan.cache_info().misses == 0
 
 
 class TestSigmaRFixedOrbits:
@@ -496,6 +525,27 @@ class TestSigmaRFixedOrbits:
             assert is_orbit_sigma_r_fixed(f, params, "divisibility") == is_orbit_sigma_r_fixed(
                 f, params, "direct"
             )
+
+    @pytest.mark.parametrize("n, r, orbits", [(2, 4, 2), (3, 3, 1), (2, 6, 15), (4, 4, 8)])
+    def test_divisibility_refuses_when_gcd_r_n_is_not_1(self, n, r, orbits):
+        # no degree-r divisor of x^(2^r) + x exists there, yet "direct" finds every orbit fixed
+        params = Parameters(n, r, strict=False)
+        seeds = [orbit.members[-1] for orbit in pgl_orbits(make_field(n), r)]
+        assert len(seeds) == orbits
+        assert all(is_orbit_sigma_r_fixed(f, params, "direct") for f in seeds)
+        with pytest.raises(ValueError, match=rf"gcd\(r, n\) = 1, got gcd\({r}, {n}\) = {gcd(r, n)}"):
+            is_orbit_sigma_r_fixed(seeds[0], params, "divisibility")
+
+    def test_methods_agree_on_every_orbit_where_gcd_r_n_is_1(self):
+        pairs = [(n, r) for n in range(1, 8) for r in range(2, 15) if n * r <= 14 and gcd(r, n) == 1]
+        assert len(pairs) == 21
+        for n, r in pairs:
+            params = Parameters(n, r, strict=False)
+            for orbit in pgl_orbits(make_field(n), r):
+                f = orbit.members[-1]
+                assert is_orbit_sigma_r_fixed(f, params, "divisibility") == is_orbit_sigma_r_fixed(
+                    f, params, "direct"
+                ), (n, r, f)
 
     def test_exactly_one_fixed_orbit_at_3_5(self):
         # 6 divisor polynomials / 6 per orbit

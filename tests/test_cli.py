@@ -253,6 +253,13 @@ class TestVerifyCommand:
         assert "usage:" in captured.err
         assert "argument --max-domain-bits: must be >= 0, got -5" in captured.err
 
+    def test_fixed_orbits_domain_guard_counts_the_binary_candidates(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7", "--max-domain-bits", "6")
+        assert (code, out) == (1, "")
+        assert err == "error: domain size 2^7 exceeds the 2^6 enumeration guard\n"
+        code, out, _ = run(capsys, "verify", "--suite", "fixed-orbits", "--n", "5", "--r", "7", "--max-domain-bits", "7")
+        assert code == 0 and out.startswith("PASS: ")
+
     def test_domain_guard_can_be_lowered(self, capsys):
         code, _, err = run(
             capsys,

@@ -2,9 +2,8 @@
 
 The public check reads src/ with `ast`, so only code counts as a use:
 names and attributes, never import aliases, strings, comments or
-docstrings, and `__init__.py`'s re-exports are skipped.  Each public
-module-level function, and each public method of `GF2m` and `Tower`,
-must be one of:
+docstrings.  Each public module-level function, and each public method
+of `GF2m` and `Tower`, must be one of:
 
 * a product path: referenced from src/ outside its own body and outside
   every oracle (a method counts only as an attribute, so a builtin of
@@ -88,8 +87,7 @@ def _scan():
             visit(child, module, inner)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     return defs, refs
 
 

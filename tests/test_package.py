@@ -1,8 +1,9 @@
-"""What `import goppa_orbits.cli` loads, and the value types it loads instead of dataclasses.
+"""What `import goppa_orbits` and `import goppa_orbits.cli` load, and the value types used instead of dataclasses.
 
-Every CLI invocation pays for its imports before any command runs, so
-the start-up set is checked by name: no module is in it that only some
-commands use.  The three result types are namedtuples; they keep the
+The package root holds only its docstring and version, so importing it
+loads no submodule.  Every CLI invocation pays for its imports before
+any command runs, so the start-up set is checked by name: no module is
+in it that only some commands use.  The three result types are namedtuples; they keep the
 field names, equality, hashing, immutability and repr they had as
 frozen dataclasses.  No module of the package imports dataclasses, so
 even the `goppa` subcommand, whose code records are namedtuples too
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import goppa_orbits
 from goppa_orbits.action import Orbit, fixed_orbit_classes, pgl_orbit
 from goppa_orbits.enumeration import BoundReport, bound
 from goppa_orbits.polyq import Parameters, poly_sort_key
@@ -69,20 +69,13 @@ class TestImportSet:
         assert "goppa_orbits.goppa" in loaded
         assert {"dataclasses", "inspect"} & loaded == set()
 
-    def test_goppa_names_load_on_first_use(self):
-        import goppa_orbits.goppa
-
-        for name in ("BinaryCode", "GoppaSpec", "build_goppa", "code_from_orbit_element", "extend_code",
-                     "weight_enumerator"):
-            assert getattr(goppa_orbits, name) is getattr(goppa_orbits.goppa, name)
-        from goppa_orbits import build_goppa
-
-        assert build_goppa is goppa_orbits.goppa.build_goppa
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            goppa_orbits.no_such_name
-        assert not hasattr(goppa_orbits, "no_such_name")
+    def test_package_root_imports_no_submodule(self):
+        code = "import goppa_orbits, sys; print(' '.join(sorted(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "goppa_orbits" in loaded
+        assert {name for name in loaded if name.startswith("goppa_orbits.")} == set()
 
 
 class TestValueTypes:
