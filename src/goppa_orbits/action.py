@@ -251,7 +251,7 @@ class Orbit(namedtuple("Orbit", "members")):
         return f in self.members
 
 
-_Plan = namedtuple("_Plan", "powers lucas tables least")
+_Plan = namedtuple("_Plan", "powers lucas terms tables least")
 
 
 # Each benchmark workload and each CLI command sweeps at a single (field, degree),
@@ -260,21 +260,23 @@ _Plan = namedtuple("_Plan", "powers lucas tables least")
 def _plan(gf: GF2m, r: int) -> _Plan:
     """The tables a sweep at degree r over gf reads (q <= 128: callers check the PGL guard first).
 
-    powers[v][d]: the product row of v^d for v != 0 and d <= r (powers[0] is empty).
+    powers[v][d]: the product row of v^d for d <= r (0^0 = 1).
     lucas: (i, j, j - i) for each j <= r and each i < j whose bits lie in j.
+    terms[i], i < r: the (j, j - i) of lucas that land on i.
     tables[j], j < r: row l, column k holds c u^-(r - j) for log c = l and
     u = g^k, as bytes; a row index l - log(lead) in (-s, s) needs no
     reduction mod s.  least[j]: row l lists every k at which tables[j][l] is least.
     """
     s, rows, exp, log = gf.mult_order, gf.rows, gf._exp, gf._log
-    powers = ((),) + tuple(tuple(rows[exp[log[v] * d % s]] for d in range(r + 1)) for v in range(1, gf.order))
+    powers = tuple(tuple(rows[exp[log[v] * d % s] if v else 0**d] for d in range(r + 1)) for v in range(gf.order))
     lucas = tuple((i, j, j - i) for j in range(1, r + 1) for i in range(j) if i & j == i)
+    terms = tuple(tuple((j, d) for t, j, d in lucas if t == i) for i in range(r))
     tables = tuple(tuple(bytes(exp[(l - (r - j) * k) % s] for k in range(s)) for l in range(s)) for j in range(r))
     least = tuple(
         tuple(tuple(k for k, val in enumerate(row) if val == low) for row in table for low in [min(row)])
         for table in tables
     )
-    return _Plan(powers, lucas, tables, least)
+    return _Plan(powers, lucas, terms, tables, least)
 
 
 def _taylor_shift(plan: _Plan, f, v: int) -> list[int]:
@@ -352,42 +354,59 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     below x^r can reach the least member.  For odd r the translation
     v = h_(r-1) / h_r clears x^(r-1) (r = 1 in characteristic 2), and the
     least member has that coefficient zero; for even r, c_(r-1) = h_(r-1)
-    whatever v is, so every v is tried.  The hits are the group elements
+    whatever v is, so every v is tried.  A candidate is compared with the
+    least so far from x^(r-1) down, computing each c_j only when reached;
+    only a new least is built in full.  The hits are the group elements
     sending f to the least member, so there are |Stab(f)| of them.  Per
-    seed: q + 1 Taylor shifts at odd r, q(q + 1) at even r, each under
-    r^1.6 products, and r scaling-table columns read per candidate.
+    seed: q + 1 Taylor shifts, then q + 1 candidates at odd r and q(q + 1)
+    at even r, most refused within the first two or three coefficients.
     """
     r = len(f) - 1
     plan = _plan(gf, r)
-    s, rows = gf.mult_order, gf.rows
-    exp, log = gf._exp, gf._log
-    tables, zero = plan.tables, bytes(s)
-    best, hits = None, []
+    powers, _, terms, tables, least = plan
+    rows, exp, log = gf.rows, gf._exp, gf._log
+    # best[j]: the x^j coefficient of the least candidate so far; q is above every element.
+    best, hits = [gf.order] * r, []
     for gamma, h in _coset_representatives(gf, f, r):
         lead = log[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
-            c = _taylor_shift(plan, h, v)
+            pw, top, below = powers[v], r - 1, False
             # c(0) = 0 would be a root in F_q, which the degree check refused.
-            top = r - 1
-            while not c[top]:
+            while True:
+                ct = h[top]
+                for j, d in terms[top]:
+                    ct ^= pw[d][h[j]]
+                if ct:
+                    break
+                # a zero where best is not: below it whatever the scaling
+                below = below or best[top] > 0
                 top -= 1
-            head = (1,) + (0,) * (r - 1 - top)
-            cols = [tables[j][log[c[j]] - lead] if c[j] else zero for j in range(top, -1, -1)]
-            for k in plan.least[top][log[c[top]] - lead]:
-                # Highest degree first, where tuple order is poly_sort_key order.
-                cand = head + tuple(col[k] for col in cols)
-                if best is None or cand < best:
-                    best, hits = cand, []
-                if cand == best:
-                    hits.append((gamma, v, exp[k]))
+            for k in least[top][log[ct] - lead]:
+                i, ci = top, ct
+                while not below:
+                    val = tables[i][log[ci] - lead][k] if ci else 0
+                    if val != best[i]:
+                        below = val < best[i]
+                        break
+                    if not i:
+                        hits.append((gamma, v, exp[k]))
+                        break
+                    i -= 1
+                    ci = h[i]
+                    for j, d in terms[i]:
+                        ci ^= pw[d][h[j]]
+                if below:
+                    c = _taylor_shift(plan, h, v)
+                    best = [table[log[cj] - lead][k] if cj else 0 for table, cj in zip(tables, c)]
+                    hits, below = [(gamma, v, exp[k])], False
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
     # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
     mats = tuple(
         (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, rows[gamma][v] ^ 1, u, rows[gamma][u]))
         for gamma, v, u in hits
     )
-    return best[::-1], mats
+    return tuple(best) + (1,), mats
 
 
 def orbit_canonical(gf: GF2m, f: Poly) -> Poly:

@@ -36,17 +36,6 @@ def poly_degree(f: Poly) -> int:
     return len(f) - 1
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, a in enumerate(g):
-        out[i] ^= a
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def poly_mul(gf: GF2m, f: Poly, g: Poly) -> Poly:
     """The schoolbook product; oracle for `enumerate_irreducibles`, which multiplies no polynomial."""
     gf._check(*f, *g)
@@ -111,13 +100,6 @@ def _rem(gf: GF2m, f, g: Poly) -> Poly:
     return tuple(rem)
 
 
-def _gcd(gf: GF2m, f: Poly, g: Poly) -> Poly:
-    """A greatest common divisor, not made monic; operands already checked."""
-    while g:
-        f, g = g, _rem(gf, f, g)
-    return f
-
-
 def poly_eval(gf: GF2m, f: Poly, a: int) -> int:
     gf._check(a, *f)
     ra = gf.rows[a]
@@ -125,16 +107,6 @@ def poly_eval(gf: GF2m, f: Poly, a: int) -> int:
     for c in reversed(f):
         acc = ra[acc] ^ c
     return acc
-
-
-def _sqr_mod(gf: GF2m, f: Poly, mod: Poly) -> Poly:
-    """f^2 mod `mod` for operands already checked; cross terms vanish in characteristic 2."""
-    if not f:
-        return ZERO
-    rows = gf.rows
-    out = [0] * (2 * len(f) - 1)
-    out[::2] = [rows[a][a] for a in f]
-    return _rem(gf, out, mod)
 
 
 def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
@@ -173,18 +145,52 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
 
     f of degree r is irreducible iff gcd(x^(q^k) - x mod f, f) = 1 for
     every k = 1 .. r // 2; the loop stops at the first nontrivial gcd.
-    f is checked once here; the loop only touches what it computed.
+    f is checked once here and made monic.  A square mod f reads x^(2i) mod f,
+    2i >= r, as product rows from a table built once, so it divides nothing;
+    the gcds run on lists in place.
     """
     r = poly_degree(f)
     if r < 1:
         raise ValueError("irreducibility is undefined for constants")
     gf._check(*f)
-    x_mod = _rem(gf, X, f)
-    t = x_mod
+    if not f[r]:
+        raise ValueError(f"zero leading coefficient f[{r}]: a polynomial tuple has no trailing zeros")
+    rows = gf.rows
+    low = [rows[gf.inv(f[r])][a] for a in f[:r]]
+    # x^r = low mod f in characteristic 2; x^(k+1) shifts x^k and folds its top back.
+    power, folds = low, []
+    for k in range(r, 2 * r - 1):
+        if not k & 1:
+            folds.append([rows[a] for a in power])
+        rt = rows[power[-1]]
+        power = [a ^ rt[b] for a, b in zip([0] + power[:-1], low)]
+    half, t = (r + 1) // 2, [0, 1] + [0] * (r - 2)
     for _ in range(r // 2):
         for _ in range(gf.m):
-            t = _sqr_mod(gf, t, f)
-        if poly_degree(_gcd(gf, poly_add(t, x_mod), f)) != 0:
+            sq = [rows[a][a] for a in t]
+            t = [0] * r
+            t[::2] = sq[:half]
+            for a, fold in zip(sq[half:], folds):
+                if a:
+                    t = [b ^ row[a] for b, row in zip(t, fold)]
+        # gcd(t - x, f) by Euclid on lists; u runs from f, w from t - x.
+        u, w = low + [1], t[:]
+        w[1] ^= 1
+        while w and not w[-1]:
+            w.pop()
+        while len(w) > 1:
+            dw = len(w) - 1
+            inv = rows[gf.inv(w[-1])]
+            for top in range(len(u) - 1, dw - 1, -1):
+                if u[top]:
+                    rc = rows[inv[u[top]]]
+                    for j in range(dw):
+                        u[top - dw + j] ^= rc[w[j]]
+            del u[dw:]
+            while u and not u[-1]:
+                u.pop()
+            u, w = w, u
+        if not w:
             return False
     return True
 
@@ -344,10 +350,12 @@ def poly_order(gf: GF2m, f: Poly) -> int:
 def divides_x2r_plus_x(gf: GF2m, f: Poly, r: int) -> bool:
     """Does f divide x^(2^r) + x?  r squarings mod f over GF(q); oracle for `divisor_polynomials`."""
     gf._check(*f)
-    t = _rem(gf, X, f)
+    rows = gf.rows
+    t = x = _rem(gf, X, f)
     for _ in range(r):
-        t = _sqr_mod(gf, t, f)
-    return _rem(gf, poly_add(t, X), f) == ZERO
+        # cross terms vanish in characteristic 2
+        t = _rem(gf, [c for a in t for c in (rows[a][a], 0)][:-1], f)
+    return t == x
 
 
 def count_divisor_polys_mobius(r: int) -> int:

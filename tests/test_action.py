@@ -284,6 +284,16 @@ class TestOrbitsAndStabilizers:
         with pytest.raises(ValueError):
             pgl_orbit(gf8, (0, 1, 1))
 
+    def test_zero_leading_coefficient_is_named(self, gf8):
+        # Ben-Or refuses the trailing zero before any inverse; the sweep's seed check says monic
+        with pytest.raises(ValueError, match=r"zero leading coefficient f\[2\]"):
+            pgl_orbit(gf8, (1, 1, 0))
+        for method in ("divisibility", "direct"):
+            with pytest.raises(ValueError, match=r"zero leading coefficient f\[7\]"):
+                is_orbit_sigma_r_fixed((1, 1, 0, 0, 0, 0, 0, 0), Parameters(3, 7, strict=False), method)
+        with pytest.raises(ValueError, match="monic"):
+            stabilizer(gf8, (1, 1, 0))
+
     def test_linear_seed_rejected(self, gf8):
         # the root of x + 3 lies in F_8, and some Möbius map sends it to infinity
         with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
@@ -380,6 +390,35 @@ class TestCanonicalSweep:
         for _ in range(3):
             orbit = pgl_orbit(gf32, random_irreducible(gf32, 5, rng))
             self._check_orbit_members(gf32, orbit, [orbit.members[rng.randrange(orbit.size)] for _ in range(10)])
+
+    @pytest.mark.parametrize("m, r", [(4, 4), (5, 4), (3, 6), (5, 5)])
+    def test_sampled_seeds_beyond_the_exhaustive_range(self, m, r, rng):
+        gf = make_field(m)
+        for _ in range(2):
+            orbit = pgl_orbit(gf, random_irreducible(gf, r, rng))
+            self._check_orbit_members(gf, orbit, [orbit.members[rng.randrange(orbit.size)] for _ in range(5)])
+
+    # Each of its q + 1 coset representatives, translated to clear x^12, keeps
+    # a nonzero x^11 coefficient, and gcd(13 - 11, q - 1) = 1 lets a scaling
+    # take that coefficient to 1: a (top index, least value) key ties them all.
+    TIED_AT_7_13 = (114, 44, 35, 61, 19, 109, 43, 102, 105, 62, 79, 73, 115, 1)
+
+    def test_lower_coefficients_break_the_top_tie_at_7_13(self):
+        gf, f, r = make_field(7), self.TIED_AT_7_13, 13
+        plan, log, exp = _plan(gf, r), gf._log, gf._exp
+        candidates = []
+        for _, h in action._coset_representatives(gf, f, r):
+            lead = log[h[r]]
+            c = _taylor_shift(plan, h, exp[log[h[r - 1]] - lead] if h[r - 1] else 0)
+            assert c[r - 1] == 0 and c[r - 2] and min(plan.tables[r - 2][log[c[r - 2]] - lead]) == 1
+            # every scaling, not only the least ones, highest coefficient first
+            cols = [plan.tables[j][log[c[j]] - lead] if c[j] else bytes(gf.mult_order) for j in range(r - 1, -1, -1)]
+            candidates += zip(*cols)
+        canonical, hits = _canonical_sweep(gf, f)
+        least = min(candidates)
+        assert canonical == least[::-1] + (1,)
+        assert candidates.count(least) == len(hits) == 1
+        assert all(act_poly(gf, mat, f) == canonical for mat in hits)
 
     @pytest.mark.parametrize(
         "m, r, every", [(1, 3, 1), (1, 4, 1), (1, 5, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 2, 1), (3, 3, 12)]

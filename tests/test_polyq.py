@@ -20,6 +20,7 @@ enumeration is compared with Ben-Or's filter wherever it is small enough.
 import math
 import time
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
@@ -39,7 +40,6 @@ from goppa_orbits.polyq import (
     enumerate_irreducibles,
     is_irreducible,
     monic_by_index,
-    poly_add,
     poly_eval,
     poly_mul,
     poly_degree,
@@ -48,6 +48,14 @@ from goppa_orbits.polyq import (
     poly_to_text,
     poly_sort_key,
 )
+
+
+def _add(f, g):
+    """The coefficientwise sum, trailing zeros dropped."""
+    out = [a ^ b for a, b in zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _all_monic(gf, r):
@@ -96,20 +104,20 @@ class TestRingOps:
         for _ in range(100):
             f = tuple(rng.randrange(8) for _ in range(6))
             g = tuple(rng.randrange(8) for _ in range(3)) + (rng.randrange(1, 8),)
-            fn = poly_add(f, ())  # drops trailing zeros
+            fn = _add(f, ())  # drops trailing zeros
             q, rem = poly_divmod(gf8, fn, g)
-            assert poly_add(poly_mul(gf8, q, g), rem) == fn
+            assert _add(poly_mul(gf8, q, g), rem) == fn
             assert len(rem) < len(g)
 
     @pytest.mark.parametrize("m", [1, 3, 7, 9])
     def test_remainder_without_quotient(self, m, rng):
-        # the reduction behind Ben-Or's loop, _gcd and the oracles' reductions; at m = 9 rows are computed
+        # the reduction behind the oracles poly_powmod, poly_order and divides_x2r_plus_x; m = 9 computes rows
         gf = make_field(m)
         for len_f in range(10):
             for len_g in range(1, 8):
                 # monic, then non-monic divisors (GF(2) has only monic ones); len_g > len_f leaves f as it is
                 for lead in (1, rng.randrange(1, gf.order)):
-                    f = poly_add(tuple(rng.randrange(gf.order) for _ in range(len_f)), ())
+                    f = _add(tuple(rng.randrange(gf.order) for _ in range(len_f)), ())
                     g = tuple(rng.randrange(gf.order) for _ in range(len_g - 1)) + (lead,)
                     assert _rem(gf, f, g) == poly_divmod(gf, f, g)[1]
         with pytest.raises(ZeroDivisionError):
@@ -157,6 +165,17 @@ class TestIrreducibility:
         assert not is_irreducible(gf, poly_mul(gf, (12345, 1), (99999, 1)))
         assert is_irreducible(gf, (1, 0, 1, 0, 0, 1))
 
+    def test_zero_leading_coefficient_is_named(self, gf8):
+        for f in ((1, 0), (1, 1, 0), (1, 1, 0, 0, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match=rf"zero leading coefficient f\[{len(f) - 1}\]"):
+                is_irreducible(gf8, f)
+
+    def test_scaling_keeps_the_verdict(self, gf8):
+        # f is made monic first; every c f must get f's verdict
+        for f in _all_monic(gf8, 4):
+            verdict = is_irreducible(gf8, f)
+            assert all(is_irreducible(gf8, tuple(gf8.mul(c, a) for a in f)) == verdict for c in range(2, 8))
+
     def test_quadratic_count_oracle(self, gf8):
         assert _oracle_irreducible_count(gf8, 2) == 28
         assert sum(1 for _ in enumerate_irreducibles(gf8, 2)) == 28
@@ -185,10 +204,10 @@ class TestIrreducibility:
         assert _oracle_irreducible_count(gf4, 4) == count_irreducibles(4, 4)
 
     @pytest.mark.parametrize(
-        "m,r", [(m, r) for m in range(1, 13) for r in range(1, 12 // m + 1)]
+        "m,r", [(m, r) for m in range(1, 13) for r in range(1, 12 // m + 1)] + [(2, 8), (4, 4)]
     )
     def test_sieve_matches_ben_or_filter(self, m, r):
-        # every (q, r) with q^r <= 2^12, compared as ordered lists
+        # every (q, r) with q^r <= 2^12, and two with q^r = 2^16, compared as ordered lists
         gf = make_field(m)
         assert list(enumerate_irreducibles(gf, r)) == _ben_or_filter(gf, r)
 
