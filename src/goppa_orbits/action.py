@@ -307,10 +307,10 @@ def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, 
     """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma)."""
     plan = _plan(gf, r)
     reps = [(None, list(f))] + [(gamma, _taylor_shift(plan, f, gamma)[::-1]) for gamma in range(gf.order)]
-    if any(h[r] == 0 for _, h in reps):
-        raise InternalCheckError(
-            "polynomial action dropped the degree: input reducible or arithmetic bug"
-        )
+    for gamma, h in reps:
+        # h[r] is f(gamma): a root in F_q, which some Möbius map sends to infinity
+        if h[r] == 0:
+            raise ValueError(f"the seed has the root {gamma} in F_q, so it is reducible")
     return reps
 
 
@@ -333,20 +333,13 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     return tuple(m[::-1] for m in sorted(members))
 
 
-def _canonical_sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
-    """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
-
-    f is checked on every call; the sweep itself goes through `_sweep`'s
-    memo, so `stabilizer` and both sigma^r-fixedness methods asked about
-    one seed sweep it once.
-    """
-    _check_seed(gf, f)
-    return _sweep(gf, tuple(f))
-
-
 @lru_cache(maxsize=_SEED_MEMO_SIZE)
 def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
-    """`_canonical_sweep`'s body for a checked seed, memoized per (field, seed).
+    """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
+
+    f is a seed `_check_seed` passed; the memo per (field, seed) lets
+    `stabilizer` and both sigma^r-fixedness methods asked about one seed
+    sweep it once.
 
     Each coset representative h goes through translations x -> x + v,
     then scalings x -> u x; made monic, c_j becomes c_j u^(j-r) / h_r (a
@@ -411,11 +404,13 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
 
 def orbit_canonical(gf: GF2m, f: Poly) -> Poly:
     """The least member of PGL(f) under poly_sort_key, i.e. Orbit.canonical."""
-    return _canonical_sweep(gf, f)[0]
+    _check_seed(gf, f)
+    return _sweep(gf, tuple(f))[0]
 
 
 def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
     """The PGL orbit of f under the substitution action, materialized."""
+    _check_pgl_guard(gf.order)
     if not is_irreducible(gf, f) or f[-1] != 1:
         raise ValueError("orbit seeds must be monic irreducible")
     return Orbit(_pgl_orbit_members(gf, f))
@@ -442,7 +437,8 @@ def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
     so Stab(f) = {A_0^-1 A_i}.  The list is fresh on every call; the
     memoized sweep keeps its hits in a tuple.
     """
-    _, hits = _canonical_sweep(gf, f)
+    _check_seed(gf, f)
+    _, hits = _sweep(gf, tuple(f))
     if len(hits) == 1:
         return [IDENTITY]
     back = mat_inv(gf, hits[0])
@@ -479,6 +475,7 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     methods tests f once, and a reducible seed is refused on every call.
     """
     gf = make_field(params.n)
+    _check_pgl_guard(gf.order)
     if len(f) - 1 != params.r:
         raise ValueError(f"expected degree r={params.r}, got {len(f) - 1}")
     if not _irreducible_seed(gf, tuple(f)):

@@ -84,7 +84,8 @@ def bound(params: Parameters) -> BoundReport:
 
 
 def make_table(n: int, r_list: list[int]) -> tuple[list[BoundReport], list[tuple[int, str]]]:
-    """Bound reports for each r; n is checked once, and only a refused r is collected, not raised."""
+    """Bound reports for each r; n is checked before any row (each row's `Parameters` checks it
+    again, from the `factorize` cache), and only a refused r is collected, not raised."""
     Parameters.check_n(n)
     rows: list[BoundReport] = []
     rejected: list[tuple[int, str]] = []

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitmat import kernel_basis
 from .errors import GuardError, require_positive
 from .intnt import factorize
 
@@ -379,6 +378,32 @@ class Tower:
         return tuple(self.unembed(c) for c in poly)
 
 
+def gf2_kernel(images: list[int]) -> list[int]:
+    """Basis of the kernel of the GF(2)-linear map sending basis vector i to images[i].
+
+    Each image is reduced by the earlier independent ones, pivoting on
+    the top bit, carrying the combination of inputs; one that reduces to
+    0 gives a kernel vector made of its own bit and independent inputs
+    only, as row reduction builds it for a free column.  Vectors come in
+    input order, bit i standing for input i.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i, v in enumerate(images):
+        combo = 1 << i
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v, combo
+                break
+            pv, pc = pivots[top]
+            v ^= pv
+            combo ^= pc
+        else:
+            kernel.append(combo)
+    return kernel
+
+
 def subfield_elements(ext: GF2m, d: int) -> list[int]:
     """All elements of GF(2^d) inside GF(2^m): the roots of x^(2^d) + x.
 
@@ -390,14 +415,7 @@ def subfield_elements(ext: GF2m, d: int) -> list[int]:
         raise ValueError(f"GF(2^{d}) is not a subfield of GF(2^{nm})")
     if d > 30:
         raise GuardError(f"subfield enumeration 2^{d} exceeds the 2^30 ceiling")
-    cols = [ext.frobenius(1 << i, d) ^ (1 << i) for i in range(nm)]
-    rows = []
-    for i in range(nm):
-        row = 0
-        for j, c in enumerate(cols):
-            row |= ((c >> i) & 1) << j
-        rows.append(row)
-    basis = kernel_basis(rows, nm)
+    basis = gf2_kernel([ext.frobenius(1 << i, d) ^ (1 << i) for i in range(nm)])
     if len(basis) != d:
         raise AssertionError("subfield dimension mismatch")
     elems = [0]

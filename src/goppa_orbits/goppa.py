@@ -6,10 +6,11 @@ A code of length q is cut out by the congruence
 sum_i c_i / (x - alpha_i) = 0 (mod g(x)) over the support L = F_q, with
 g monic irreducible of degree r over F_q.  Concretely the single row
 (1/(alpha - alpha_0), ..., 1/(alpha - alpha_(q-1))) over F_(q^r), alpha
-a root of g, is expanded into nr binary rows over the power basis of
-the extension generator (i.e. the bits of our element representation)
-and the code is the GF(2) kernel.  Every construction re-checks the
-congruence by synthetic division, independently of the matrix path.
+a root of g, is the GF(2)-linear map whose kernel is the code; its nr
+binary rows over the power basis of the extension generator (i.e. the
+bits of our element representation) are the parity checks.  Every
+construction re-checks the congruence by synthetic division,
+independently of the matrix path.
 
 Codewords are bit-packed ints: bit i is coordinate i, and coordinate i
 of the support is the field element with integer representation i.
@@ -20,9 +21,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .bitmat import kernel_basis, rank
 from .errors import GuardError, InternalCheckError
-from .gf2field import MAX_DEGREE, Tower
+from .gf2field import MAX_DEGREE, Tower, gf2_kernel
 from .polyq import is_irreducible, poly_degree, poly_eval
 
 _LENGTH_DEGREE = 10
@@ -33,10 +33,10 @@ _PERM_SEARCH_LENGTH_GUARD = 9
 class BinaryCode(namedtuple("BinaryCode", "length generator parity_check dimension")):
     """A binary linear code given by generator and parity-check rows.
 
-    Construction validates that the generator rows are independent, that
-    generator and parity-check rows are orthogonal, and that the
-    dimension matches length - rank(parity_check), in `_make` and
-    `_replace` too.
+    Construction validates that every row lies in the length coordinates,
+    that the generator rows are independent, that generator and
+    parity-check rows are orthogonal, and that the dimension matches
+    length - rank(parity_check), in `_make` and `_replace` too.
     """
 
     __slots__ = ()
@@ -45,13 +45,15 @@ class BinaryCode(namedtuple("BinaryCode", "length generator parity_check dimensi
         self = super().__new__(cls, length, generator, parity_check, dimension)
         if dimension != len(generator):
             raise ValueError("dimension must equal the number of generator rows")
-        if rank(list(generator), length) != dimension:
+        if any(row >> length for row in (*generator, *parity_check)):
+            raise ValueError(f"every row must lie in the {length} coordinates")
+        if gf2_kernel(generator):
             raise ValueError("generator rows are linearly dependent")
         for g in generator:
             for h in parity_check:
                 if (g & h).bit_count() & 1:
                     raise ValueError("generator row fails a parity check")
-        if length - rank(list(parity_check), length) != dimension:
+        if length - len(parity_check) + len(gf2_kernel(parity_check)) != dimension:
             raise ValueError("parity-check rank disagrees with the dimension")
         return self
 
@@ -106,7 +108,7 @@ def build_goppa(spec: GoppaSpec) -> BinaryCode:
         for i, h in enumerate(h_row):
             row |= ((h >> k) & 1) << i
         bin_rows.append(row)
-    basis = sorted(kernel_basis(bin_rows, q))
+    basis = sorted(gf2_kernel(h_row))
     code = BinaryCode(
         length=q,
         generator=tuple(basis),

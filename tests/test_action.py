@@ -13,7 +13,6 @@ from conftest import random_irreducible, random_matrix, random_semilinear
 from goppa_orbits import action, polyq
 from goppa_orbits.action import (
     IDENTITY,
-    _canonical_sweep,
     _irreducible_seed,
     _pgl_orbit_members,
     _plan,
@@ -109,6 +108,20 @@ class TestGroupEnumeration:
         monkeypatch.setattr(action, "enumerate_irreducibles", no_sieve)
         with pytest.raises(GuardError, match=r"^\|PGL2\(F_1024\)\| = 1073740800 exceeds the 2\^21 guard$"):
             next(pgl_orbits(make_field(10), 2))
+
+    def test_seed_guards_precede_ben_or(self, monkeypatch):
+        def no_test(gf, f):
+            raise AssertionError("is_irreducible ran before the group-size guard")
+
+        monkeypatch.setattr(action, "is_irreducible", no_test)
+        _irreducible_seed.cache_clear()
+        seed, guard = (32, 1, 1), r"^\|PGL2\(F_256\)\| = 16776960 exceeds the 2\^21 guard$"
+        with pytest.raises(GuardError, match=guard):
+            pgl_orbit(make_field(8), seed)
+        for method in ("divisibility", "direct"):
+            with pytest.raises(GuardError, match=guard):
+                is_orbit_sigma_r_fixed(seed, Parameters(8, 2, strict=False), method)
+        assert _irreducible_seed.cache_info().currsize == 0
 
     def test_agl_closed_under_product(self, gf8, rng):
         agl8 = list(agl_enumerate(gf8))
@@ -294,6 +307,18 @@ class TestOrbitsAndStabilizers:
         with pytest.raises(ValueError, match="monic"):
             stabilizer(gf8, (1, 1, 0))
 
+    def test_root_in_f_q_is_named(self, gf8):
+        # h[r] of the coset representative for gamma is f(gamma): bad input, not an arithmetic bug
+        cases = [
+            (lambda: orbit_canonical(gf8, (0, 1, 1)), 0),  # x(x + 1)
+            (lambda: stabilizer(gf8, (0, 0, 0, 1)), 0),  # x^3
+            (lambda: orbit_canonical(gf8, (5, 4, 4, 1)), 5),  # (x + 5)(x^2 + x + 1)
+            (lambda: stabilizer(gf8, (5, 4, 4, 1)), 5),
+        ]
+        for call, root in cases:
+            with pytest.raises(ValueError, match=rf"^the seed has the root {root} in F_q, so it is reducible$"):
+                call()
+
     def test_linear_seed_rejected(self, gf8):
         # the root of x + 3 lies in F_8, and some Möbius map sends it to infinity
         with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
@@ -340,7 +365,8 @@ class TestOrbitsAndStabilizers:
             try:
                 images = {act_poly(gf, mat, f) for mat in mats}
             except InternalCheckError:
-                with pytest.raises(InternalCheckError):
+                # act_poly's dropped degree is a root in F_q, which the coset route names
+                with pytest.raises(ValueError, match=r"the seed has the root \d+ in F_q"):
                     _pgl_orbit_members(gf, f)
                 continue
             assert _pgl_orbit_members(gf, f) == tuple(sorted(images, key=poly_sort_key))
@@ -363,7 +389,7 @@ class TestCanonicalSweep:
     @staticmethod
     def _check_orbit_members(gf, orbit, members):
         for f in members:
-            canonical, hits = _canonical_sweep(gf, f)
+            canonical, hits = _sweep(gf, f)
             assert canonical == orbit.canonical
             # orbit-stabilizer: the hits are the |Stab(f)| elements reaching the canonical form
             assert len(hits) * orbit.size == gf.order**3 - gf.order
@@ -414,7 +440,7 @@ class TestCanonicalSweep:
             # every scaling, not only the least ones, highest coefficient first
             cols = [plan.tables[j][log[c[j]] - lead] if c[j] else bytes(gf.mult_order) for j in range(r - 1, -1, -1)]
             candidates += zip(*cols)
-        canonical, hits = _canonical_sweep(gf, f)
+        canonical, hits = _sweep(gf, f)
         least = min(candidates)
         assert canonical == least[::-1] + (1,)
         assert candidates.count(least) == len(hits) == 1
@@ -462,7 +488,7 @@ class TestCanonicalSweep:
     def test_even_degree_canonical_is_materialized(self, gf8, rng):
         f = random_irreducible(gf8, 4, rng)
         members = _pgl_orbit_members(gf8, f)
-        canonical, hits = _canonical_sweep(gf8, f)
+        canonical, hits = _sweep(gf8, f)
         assert orbit_canonical(gf8, f) == canonical == members[0]
         assert len(hits) * len(members) == gf8.order**3 - gf8.order
 
@@ -679,7 +705,7 @@ class TestSeedMemo:
             first.append((0, 1, 1, 0))
             first[0] = (1, 1, 0, 1)
             assert stabilizer(gf8, f) == expected
-        assert isinstance(_canonical_sweep(gf8, self.SEVEN_FOLD)[1], tuple)
+        assert isinstance(_sweep(gf8, self.SEVEN_FOLD)[1], tuple)
 
     def test_list_seed_answers_as_tuple(self, gf8, rng):
         for f in (self.SEVEN_FOLD, random_irreducible(gf8, 7, rng)):

@@ -12,6 +12,7 @@ from goppa_orbits.gf2field import (
     GF2m,
     Tower,
     elem_to_bits,
+    gf2_kernel,
     make_field,
     make_tower,
     modulus_from_text,
@@ -169,6 +170,54 @@ class TestFrobeniusAndTrace:
         squares = {gf.square(h) ^ h for h in gf.elements()}
         powers = {gf.frobenius(h, r) ^ h for h in gf.elements()}
         assert squares == powers
+
+
+def _random_images(rng):
+    """Image lists of k <= 10 inputs, narrow enough that dependencies are common."""
+    for _ in range(300):
+        k, width = rng.randrange(11), rng.randrange(1, 9)
+        yield [rng.randrange(1 << width) for _ in range(k)]
+
+
+def _image_of(images, v):
+    image = 0
+    for i, a in enumerate(images):
+        if v >> i & 1:
+            image ^= a
+    return image
+
+
+class TestGf2Kernel:
+    def test_span_matches_brute_force(self, rng):
+        for images in _random_images(rng):
+            basis = gf2_kernel(images)
+            span = {0}
+            for b in basis:
+                span |= {e ^ b for e in span}
+            assert len(span) == 1 << len(basis)
+            assert span == {v for v in range(1 << len(images)) if _image_of(images, v) == 0}
+
+    def test_reduced_form(self, rng):
+        # input i is a pivot when images[i] is outside the span of the images before it
+        for images in _random_images(rng):
+            span, pivots = {0}, 0
+            for i, a in enumerate(images):
+                if a not in span:
+                    span |= {e ^ a for e in span}
+                    pivots |= 1 << i
+            basis = gf2_kernel(images)
+            free = [v & ~pivots for v in basis]
+            # one free input per vector, its own and its highest bit, in input order
+            assert all(f.bit_count() == 1 and f.bit_length() == v.bit_length() for f, v in zip(free, basis))
+            assert sum(free) == (1 << len(images)) - 1 - pivots
+            assert free == sorted(free)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_subfields_match_the_frobenius_scan(self, m):
+        gf = make_field(m)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                assert subfield_elements(gf, d) == [z for z in gf.elements() if gf.frobenius(z, d) == z]
 
 
 class TestTower:

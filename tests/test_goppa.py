@@ -6,6 +6,7 @@ import pytest
 from conftest import random_semilinear
 from goppa_orbits.action import act_element
 from goppa_orbits.errors import GuardError
+from goppa_orbits.gf2field import make_tower
 from goppa_orbits.goppa import (
     BinaryCode,
     GoppaSpec,
@@ -16,6 +17,24 @@ from goppa_orbits.goppa import (
     permutation_equivalent,
     weight_enumerator,
 )
+
+
+def _row_reduction_kernel(rows, ncols):
+    """Kernel of the parity checks `rows` by reduced row echelon form: one vector per free column."""
+    rows, reduced = list(rows), {}
+    for col in range(ncols):
+        i = next((i for i, row in enumerate(rows) if row >> col & 1), None)
+        if i is None:
+            continue
+        pivot = rows.pop(i)
+        rows = [row ^ pivot if row >> col & 1 else row for row in rows]
+        reduced = {c: row ^ pivot if row >> col & 1 else row for c, row in reduced.items()}
+        reduced[col] = pivot
+    return [
+        1 << free | sum(1 << c for c, row in reduced.items() if row >> free & 1)
+        for free in range(ncols)
+        if free not in reduced
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +60,12 @@ class TestBinaryCodeInvariants:
     def test_dependent_generators_rejected(self):
         with pytest.raises(ValueError):
             BinaryCode(length=4, generator=(0b0011, 0b0011), parity_check=(), dimension=2)
+
+    def test_rows_beyond_the_length_rejected(self):
+        # a bit at or above the length is no coordinate, so it may not pass or fail a check
+        for gen, checks in (((0b100,), (0b01,)), ((0b10,), (0b101,)), ((-1,), ())):
+            with pytest.raises(ValueError, match="every row must lie in the 2 coordinates"):
+                BinaryCode(length=2, generator=gen, parity_check=checks, dimension=1)
 
     def test_orthogonality_enforced(self):
         with pytest.raises(ValueError):
@@ -154,6 +179,18 @@ class TestCodeFromOrbitElement:
         first = code_from_orbit_element(tower_3_2, alpha_3_2)
         second = code_from_orbit_element(tower_3_2, tower_3_2.frob_q(alpha_3_2))
         assert first.generator == second.generator
+
+    @pytest.mark.parametrize("n, r", [(4, 3), (5, 3), (7, 3), (9, 2)])
+    def test_generator_is_the_row_reduction_kernel(self, n, r):
+        tower = make_tower(n, r)
+        q, ext = tower.base.order, tower.ext
+        alpha = next(a for a in range(ext.order) if tower.degree_over(a) == r)
+        h_row = [ext.inv(alpha ^ e) for e in tower.embedded]
+        rows = [sum((h >> k & 1) << i for i, h in enumerate(h_row)) for k in range(ext.m)]
+        kernel = sorted(_row_reduction_kernel(rows, q))
+        code = code_from_orbit_element(tower, alpha)
+        assert code.generator == tuple(v | (v.bit_count() & 1) << q for v in kernel)
+        assert code.dimension == len(kernel) >= q - n * r
 
     def test_wrong_degree_rejected(self, tower_3_2):
         with pytest.raises(ValueError):
