@@ -9,19 +9,22 @@ composing as (A, i) * (B, j) = (A * sigma^i(B), i + j mod rn).
 
 Every Möbius map is rho(ux + v) with rho(x) = x or 1/x + gamma, so an
 orbit is the affine images of f and of the q reversed shifts of f (q(q+1)
-Taylor shifts plus table-driven scalings), or of alpha and the q elements
-1/(alpha + gamma), not |PGL| transforms; `pgl_orbits` walks I_r that way.
+Taylor shifts, each scaling column a strided slice of the field's exp
+table), or of alpha and the q elements 1/(alpha + gamma), not |PGL|
+transforms; `pgl_orbits` walks I_r that way, within |PGL| <= 2^21.
 Tests check both domains against the per-matrix `act_poly`/`act_element`,
 named oracles like every function here that no product path calls.
 
 The least orbit member, and every group element reaching it, comes from
 a sweep over the q+1 coset representatives and their translations, with
 only the least scalings tried: one translation each for odd degree r,
-which clears the x^(r-1) coefficient, all q for even r.  Canonical
-forms, stabilizers and the sigma^r-fixedness tests use that sweep and
-materialize no orbit.  A bounded memo of 16 seeds holds each seed's
-sweep and Ben-Or verdict, so asking `stabilizer` and both fixedness
-methods about one f sweeps f and sigma^r f once each and tests f once.
+which clears the x^(r-1) coefficient, all q for even r, compared in the
+log domain on the field's exp/log tables (m <= 16).  Canonical forms,
+stabilizers and the sigma^r-fixedness tests use that sweep and
+materialize no orbit; its guard prices it in Taylor shifts.  A bounded
+memo of 16 seeds holds each seed's sweep and Ben-Or verdict, so asking
+`stabilizer` and both fixedness methods about one f sweeps f and
+sigma^r f once each and tests f once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .errors import GuardError, InternalCheckError
-from .gf2field import GF2m, Tower, make_field
+from .gf2field import _TABLE_DEGREE, GF2m, Tower, make_field
 from .polyq import (
     Parameters,
     Poly,
@@ -48,6 +51,7 @@ SemiLinear = tuple[Matrix, int]
 IDENTITY: Matrix = (1, 0, 0, 1)
 
 _PGL_GUARD_BITS = 21
+_SWEEP_GUARD_BITS = 21
 
 # Seeds whose canonical sweep and Ben-Or verdict are kept: room for one
 # query's f and sigma^r f at a small, fixed memory cost.
@@ -95,9 +99,22 @@ def mat_frobenius(gf: GF2m, mat: Matrix, i: int) -> Matrix:
 
 
 def _check_pgl_guard(q: int) -> None:
-    """One ceiling for every sweep over PGL2(F_q): q^3 - q <= 2^21 (q <= 128)."""
+    """The ceiling of every walk over the whole group or orbit: q^3 - q <= 2^21 (q <= 128)."""
     if q**3 - q > 1 << _PGL_GUARD_BITS:
         raise GuardError(f"|PGL2(F_{q})| = {q**3 - q} exceeds the 2^{_PGL_GUARD_BITS} guard")
+
+
+def _check_sweep_guard(gf: GF2m, r: int) -> None:
+    """The ceilings of a coset sweep at degree r: the field's log tables
+    (m <= 16), and its Taylor shifts, 2(q + 1) at odd r and q(q + 1) + q at
+    even r, at most 2^21 (q <= 1024 at even r)."""
+    if gf._log is None:
+        raise GuardError(f"GF(2^{gf.m}) exceeds the 2^{_TABLE_DEGREE} log-table ceiling of the coset sweep")
+    q = gf.order
+    shifts = 2 * (q + 1) if r % 2 else q * (q + 1) + q
+    if shifts > 1 << _SWEEP_GUARD_BITS:
+        raise GuardError(f"a degree-{r} sweep over GF({q}) takes {shifts} Taylor shifts, "
+                         f"which exceeds the 2^{_SWEEP_GUARD_BITS} guard")
 
 
 def pgl_enumerate(gf: GF2m):
@@ -251,32 +268,46 @@ class Orbit(namedtuple("Orbit", "members")):
         return f in self.members
 
 
-_Plan = namedtuple("_Plan", "powers lucas terms tables least")
+_Plan = namedtuple("_Plan", "powers lucas terms offsets least")
 
 
 # Each benchmark workload and each CLI command sweeps at a single (field, degree),
-# so a few entries hold a run's working set; one entry at q = 128 is under 0.6 MiB.
+# so a few entries hold a run's working set; one entry at q = 128, r = 19 is under 0.1 MiB.
 @lru_cache(maxsize=4)
 def _plan(gf: GF2m, r: int) -> _Plan:
-    """The tables a sweep at degree r over gf reads (q <= 128: callers check the PGL guard first).
+    """The tables a sweep at degree r over gf reads (m <= 16: callers check the sweep guard first).
 
     powers[v][d]: the product row of v^d for d <= r (0^0 = 1).
     lucas: (i, j, j - i) for each j <= r and each i < j whose bits lie in j.
     terms[i], i < r: the (j, j - i) of lucas that land on i.
-    tables[j], j < r: row l, column k holds c u^-(r - j) for log c = l and
-    u = g^k, as bytes; a row index l - log(lead) in (-s, s) needs no
-    reduction mod s.  least[j]: row l lists every k at which tables[j][l] is least.
+    offsets[k][j], j < r: (r - j) k mod s, the log of u^(r - j) for u = g^k,
+    so c u^-(r - j) is exp[log c - log(lead) - offsets[k][j]] once scaled
+    by 1/lead; that index lies in (-2s, s), which exp's 2s entries take
+    with no reduction mod s.  least[j]: row l lists every k at which that
+    value is least when log c - log(lead) = l (mod s).
     """
     s, rows, exp, log = gf.mult_order, gf.rows, gf._exp, gf._log
     powers = tuple(tuple(rows[exp[log[v] * d % s] if v else 0**d] for d in range(r + 1)) for v in range(gf.order))
     lucas = tuple((i, j, j - i) for j in range(1, r + 1) for i in range(j) if i & j == i)
     terms = tuple(tuple((j, d) for t, j, d in lucas if t == i) for i in range(r))
-    tables = tuple(tuple(bytes(exp[(l - (r - j) * k) % s] for k in range(s)) for l in range(s)) for j in range(r))
-    least = tuple(
-        tuple(tuple(k for k, val in enumerate(row) if val == low) for row in table for low in [min(row)])
-        for table in tables
-    )
-    return _Plan(powers, lucas, terms, tables, least)
+    offsets = tuple(tuple((r - j) * k % s for j in range(r)) for k in range(s))
+    least = tuple(_least_scalings(exp, s, r - j) for j in range(r))
+    return _Plan(powers, lucas, terms, offsets, least)
+
+
+def _least_scalings(exp: list[int], s: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Row l: every k < s at which exp[l - e k mod s] is least, ascending.
+
+    Those values are exp[t] over the logs t = l (mod g), g = gcd(e, s), so
+    the least is exp[t] for the t of l's residue class with the least exp,
+    reached by the g solutions k of e k = l - t (mod s).
+    """
+    g = gcd(e, s)
+    span = s // g
+    best = [min(range(c, s, g), key=exp.__getitem__) for c in range(g)]
+    # pow(., -1, 1) is 0, which also serves q = 2 (s = 1)
+    inv = pow(e // g, -1, span)
+    return tuple(tuple(range((l - best[l % g]) // g * inv % span, s, span)) for l in range(s))
 
 
 def _taylor_shift(plan: _Plan, f, v: int) -> list[int]:
@@ -291,10 +322,10 @@ def _taylor_shift(plan: _Plan, f, v: int) -> list[int]:
 
 
 def _check_seed(gf: GF2m, f: Poly) -> int:
-    """Validate an orbit seed (guard, coefficients, degree >= 2, monic); return its degree."""
-    _check_pgl_guard(gf.order)
-    gf._check(*f)
+    """Validate an orbit seed (sweep guard, coefficients, degree >= 2, monic); return its degree."""
     r = len(f) - 1
+    _check_sweep_guard(gf, r)
+    gf._check(*f)
     if r < 2:
         # A linear polynomial's root lies in F_q; some Möbius map sends it to infinity.
         raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
@@ -315,12 +346,15 @@ def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, 
 
 
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
-    """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key."""
+    """The set {act_poly(gf, A, f) : A in PGL}, sorted by poly_sort_key (callers check the PGL guard)."""
     r = _check_seed(gf, f)
     plan = _plan(gf, r)
     s, log = gf.mult_order, gf._log
-    # x -> u x, made monic: c_j u^(j - r) / c_r over u = g^k is a table column.
-    zero, ones = bytes(s), b"\x01" * s
+    # x -> u x, made monic: c_j u^(j - r) / c_r over u = g^k, k < s, is exp at
+    # low - (r - j) k mod s for low = log c_j - log c_r, so a column is one
+    # strided slice of exp repeated, walked down from low + (r - j) s.
+    cycle = gf._exp[:s] * (r + 1)
+    zero, ones = [0] * s, [1] * s
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
     members = set()
@@ -328,8 +362,14 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
         lead = log[h[r]]
         for v in range(gf.order):
             c = _taylor_shift(plan, h, v)
-            cols = [table[log[cj] - lead] if cj else zero for table, cj in zip(plan.tables, c)]
-            members.update(zip(ones, *reversed(cols)))
+            cols = [ones]
+            for j in range(r - 1, -1, -1):
+                if c[j]:
+                    low = (log[c[j]] - lead) % s
+                    cols.append(cycle[low + (r - j) * s:low:j - r])
+                else:
+                    cols.append(zero)
+            members.update(zip(*cols))
     return tuple(m[::-1] for m in sorted(members))
 
 
@@ -356,7 +396,7 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     """
     r = len(f) - 1
     plan = _plan(gf, r)
-    powers, _, terms, tables, least = plan
+    powers, _, terms, offsets, least = plan
     rows, exp, log = gf.rows, gf._exp, gf._log
     # best[j]: the x^j coefficient of the least candidate so far; q is above every element.
     best, hits = [gf.order] * r, []
@@ -376,9 +416,9 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
                 below = below or best[top] > 0
                 top -= 1
             for k in least[top][log[ct] - lead]:
-                i, ci = top, ct
+                off, i, ci = offsets[k], top, ct
                 while not below:
-                    val = tables[i][log[ci] - lead][k] if ci else 0
+                    val = exp[log[ci] - lead - off[i]] if ci else 0
                     if val != best[i]:
                         below = val < best[i]
                         break
@@ -391,7 +431,7 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
                         ci ^= pw[d][h[j]]
                 if below:
                     c = _taylor_shift(plan, h, v)
-                    best = [table[log[cj] - lead][k] if cj else 0 for table, cj in zip(tables, c)]
+                    best = [exp[log[cj] - lead - o] if cj else 0 for cj, o in zip(c, off)]
                     hits, below = [(gamma, v, exp[k])], False
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
     # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
@@ -455,6 +495,7 @@ def fixed_orbit_classes(params: Parameters) -> MappingProxyType:
     hypotheses these are all the fixed orbits, with 6 divisors each.
     """
     gf = make_field(params.n)
+    _check_sweep_guard(gf, params.r)
     classes: dict[Poly, list[Poly]] = {}
     for d in divisor_polynomials(params):
         classes.setdefault(orbit_canonical(gf, d), []).append(d)
@@ -475,7 +516,7 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     methods tests f once, and a reducible seed is refused on every call.
     """
     gf = make_field(params.n)
-    _check_pgl_guard(gf.order)
+    _check_sweep_guard(gf, params.r)
     if len(f) - 1 != params.r:
         raise ValueError(f"expected degree r={params.r}, got {len(f) - 1}")
     if not _irreducible_seed(gf, tuple(f)):

@@ -54,6 +54,10 @@ from goppa_orbits.polyq import (
 )
 
 
+SHIFTS_AT_11_2 = r"^a degree-2 sweep over GF\(2048\) takes 4198400 Taylor shifts, which exceeds the 2\^21 guard$"
+LOG_CEILING_AT_17 = r"^GF\(2\^17\) exceeds the 2\^16 log-table ceiling of the coset sweep$"
+
+
 def poly_scale(gf, c, f):
     return tuple(gf.mul(c, a) for a in f)
 
@@ -84,8 +88,8 @@ class TestGroupEnumeration:
         assert agl8 <= set(pgl_enumerate(gf8))
 
     def test_one_pgl_guard_admits_q_128_refuses_q_256(self):
-        # |PGL2(F_q)| = q^3 - q <= 2^21: every sweep over the group refuses
-        # q = 256 before doing any work
+        # |PGL2(F_q)| = q^3 - q <= 2^21: every walk over the whole group or
+        # orbit refuses q = 256 before doing any work
         assert next(pgl_enumerate(make_field(7))) == IDENTITY
         gf256 = make_field(8)
         f = (32, 1, 1)  # an irreducible quadratic over GF(256)
@@ -94,12 +98,14 @@ class TestGroupEnumeration:
             lambda: next(pgl_enumerate(gf256)),
             lambda: next(agl_enumerate(gf256)),
             lambda: pgl_orbit(gf256, f),
-            lambda: stabilizer(gf256, f),
             lambda: pgl_element_orbit(make_tower(8, 2), 1 << 8),
         ]
         for call in refused:
             with pytest.raises(GuardError, match=r"\|PGL2\(F_256\)\| = 16776960 exceeds the 2\^21 guard"):
                 call()
+        # the sweep has its own guard, priced in Taylor shifts: 66 048 here;
+        # I_2 is one orbit, so |Stab| = 2(q + 1)
+        assert len(stabilizer(gf256, f)) == 2 * (256 + 1)
 
     def test_pgl_orbits_guard_precedes_the_sieve(self, monkeypatch):
         def no_sieve(gf, r):
@@ -118,10 +124,32 @@ class TestGroupEnumeration:
         seed, guard = (32, 1, 1), r"^\|PGL2\(F_256\)\| = 16776960 exceeds the 2\^21 guard$"
         with pytest.raises(GuardError, match=guard):
             pgl_orbit(make_field(8), seed)
-        for method in ("divisibility", "direct"):
-            with pytest.raises(GuardError, match=guard):
-                is_orbit_sigma_r_fixed(seed, Parameters(8, 2, strict=False), method)
+        refused = [
+            (Parameters(11, 2, strict=False), seed, SHIFTS_AT_11_2),
+            (Parameters(17, 5, strict=False), (1, 0, 0, 0, 0, 1), LOG_CEILING_AT_17),
+        ]
+        for params, f, guard in refused:
+            for method in ("divisibility", "direct"):
+                with pytest.raises(GuardError, match=guard):
+                    is_orbit_sigma_r_fixed(f, params, method)
         assert _irreducible_seed.cache_info().currsize == 0
+
+    def test_sweep_guard_prices_the_taylor_shifts(self):
+        # 2(q + 1) shifts at odd r, q(q + 1) + q at even r, against 2^21:
+        # q = 1024 is the last field an even-degree sweep admits
+        gf1024, gf2048 = make_field(10), make_field(11)
+        f = next(enumerate_irreducibles(gf1024, 2))
+        assert len(stabilizer(gf1024, f)) == 2 * (1024 + 1)
+        quadratic = (1 << 10, 1, 1)
+        for call in (lambda: stabilizer(gf2048, quadratic), lambda: orbit_canonical(gf2048, quadratic)):
+            with pytest.raises(GuardError, match=SHIFTS_AT_11_2):
+                call()
+        # the same field at odd r: 4098 shifts; seeds over GF(2^17) have no log tables
+        assert stabilizer(gf2048, (1, 0, 1, 0, 0, 1)) == [IDENTITY]
+        with pytest.raises(GuardError, match=LOG_CEILING_AT_17):
+            orbit_canonical(make_field(17), (1, 0, 0, 0, 0, 1))
+        with pytest.raises(GuardError, match=LOG_CEILING_AT_17):
+            fixed_orbit_classes(Parameters(17, 5))
 
     def test_agl_closed_under_product(self, gf8, rng):
         agl8 = list(agl_enumerate(gf8))
@@ -431,15 +459,22 @@ class TestCanonicalSweep:
 
     def test_lower_coefficients_break_the_top_tie_at_7_13(self):
         gf, f, r = make_field(7), self.TIED_AT_7_13, 13
-        plan, log, exp = _plan(gf, r), gf._log, gf._exp
+        plan = _plan(gf, r)
+        # u^-e for every u != 0 and e <= r, by field arithmetic
+        inverse_powers = []
+        for u in range(1, gf.order):
+            row, iu = [1], gf.inv(u)
+            for _ in range(r):
+                row.append(gf.mul(row[-1], iu))
+            inverse_powers.append(row)
         candidates = []
         for _, h in action._coset_representatives(gf, f, r):
-            lead = log[h[r]]
-            c = _taylor_shift(plan, h, exp[log[h[r - 1]] - lead] if h[r - 1] else 0)
-            assert c[r - 1] == 0 and c[r - 2] and min(plan.tables[r - 2][log[c[r - 2]] - lead]) == 1
-            # every scaling, not only the least ones, highest coefficient first
-            cols = [plan.tables[j][log[c[j]] - lead] if c[j] else bytes(gf.mult_order) for j in range(r - 1, -1, -1)]
-            candidates += zip(*cols)
+            ilead = gf.inv(h[r])
+            c = _taylor_shift(plan, h, gf.mul(h[r - 1], ilead))
+            # every scaling x -> u x, made monic, highest coefficient first
+            scaled = [[gf.mul(gf.mul(c[j], ilead), row[r - j]) for j in range(r - 1, -1, -1)] for row in inverse_powers]
+            assert c[r - 1] == 0 and c[r - 2] and min(cand[1] for cand in scaled) == 1
+            candidates += map(tuple, scaled)
         canonical, hits = _sweep(gf, f)
         least = min(candidates)
         assert canonical == least[::-1] + (1,)
@@ -485,6 +520,18 @@ class TestCanonicalSweep:
             for d in divisors:
                 assert {act_poly(gf, mat, d) for mat in pgl2_binary_subgroup()} == set(divisors)
 
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_classes_at_n_11_13_are_the_binary_subgroup_orbits(self, n):
+        # the paper's rows past q = 128, checked by the per-matrix action alone
+        gf, params = make_field(n), Parameters(n, 5)
+        classes = fixed_orbit_classes(params)
+        assert sorted(d for ds in classes.values() for d in ds) == sorted(divisor_polynomials(params))
+        for canonical, divisors in classes.items():
+            for d in divisors:
+                _, hits = _sweep(gf, d)
+                assert all(act_poly(gf, mat, d) == canonical for mat in hits)
+                assert {act_poly(gf, mat, d) for mat in pgl2_binary_subgroup()} == set(divisors)
+
     def test_even_degree_canonical_is_materialized(self, gf8, rng):
         f = random_irreducible(gf8, 4, rng)
         members = _pgl_orbit_members(gf8, f)
@@ -524,30 +571,31 @@ class TestSweepKernels:
             assert _taylor_shift(plan, f, v) == list(shifted)
             assert _taylor_shift(plan, h, v) == list(poly_scale(gf, lead, shifted))
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 7])
-    def test_least_scalings_are_the_brute_force_argmin(self, m):
+    # s = q - 1 is 3, 7, 15, 31, 63, 127, 2047 = 23 * 89 and 8191: the gaps
+    # 1..19 meet gcd(e, s) of 1, 3, 5, 7, 9 and 15
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 11, 13])
+    def test_least_scalings_are_the_brute_force_argmin(self, m, rng):
         gf = make_field(m)
-        s = gf.mult_order
+        s, exp = gf.mult_order, gf._exp
         r = 19
         plan = _plan(gf, r)
         powers = [1]
         for _ in range(s - 1):
             powers.append(gf.mul(powers[-1], gf.generator))
-        for j in range(r):
-            # c u^-(r - j) for c = g^l and u = g^k, by field arithmetic instead of logarithms
-            scalings = []
-            for u in powers:
-                u_e = 1
-                for _ in range(r - j):
-                    u_e = gf.mul(u_e, u)
-                scalings.append(gf.inv(u_e))
-            least = []
-            for l, c in enumerate(powers):
-                vals = [gf.rows[c][w] for w in scalings]
-                assert list(plan.tables[j][l]) == vals
+        inverses = [gf.inv(u) for u in powers]
+        # every row up to q = 128, three sampled rows above
+        rows = range(s) if s < 128 else rng.sample(range(s), 3)
+        # u^-(r - j) for u = g^k, by field arithmetic instead of logarithms, for gaps 1, 2, ..., 19
+        scalings = [1] * s
+        for j in range(r - 1, -1, -1):
+            scalings = [gf.mul(w, iu) for w, iu in zip(scalings, inverses)]
+            for l in rows:
+                # c u^-(r - j) for c = g^l; the sweep reads it at l and at l - s
+                vals = [gf.mul(powers[l], w) for w in scalings]
+                assert [exp[l - off[j]] for off in plan.offsets] == vals
+                assert [exp[l - s - off[j]] for off in plan.offsets] == vals
                 low = min(vals)
-                least.append(tuple(k for k, val in enumerate(vals) if val == low))
-            assert plan.least[j] == tuple(least)
+                assert plan.least[j][l] == tuple(k for k, val in enumerate(vals) if val == low)
 
     def test_one_plan_per_field_and_degree(self, gf8, rng):
         # a session like the orbit_queries benchmark's: every kernel at (3, 7) reads one plan
@@ -565,12 +613,17 @@ class TestSweepKernels:
         assert (info.misses, info.currsize) == (1, 1)
 
     def test_a_refused_field_builds_no_plan(self):
-        # the PGL guard refuses q = 256 before any table is built
-        gf256, f = make_field(8), (32, 1, 1)
+        # each guard refuses before any table is built
+        f = (32, 1, 1)
         _plan.cache_clear()
-        for call in (lambda: pgl_orbit(gf256, f), lambda: stabilizer(gf256, f),
-                     lambda: is_orbit_sigma_r_fixed(f, Parameters(8, 2, strict=False), "direct")):
-            with pytest.raises(GuardError, match=r"\|PGL2\(F_256\)\|"):
+        refused = [
+            (lambda: pgl_orbit(make_field(8), f), r"\|PGL2\(F_256\)\|"),
+            (lambda: stabilizer(make_field(11), f), SHIFTS_AT_11_2),
+            (lambda: is_orbit_sigma_r_fixed(f, Parameters(11, 2, strict=False), "direct"), SHIFTS_AT_11_2),
+            (lambda: stabilizer(make_field(17), (1, 0, 0, 0, 0, 1)), LOG_CEILING_AT_17),
+        ]
+        for call, guard in refused:
+            with pytest.raises(GuardError, match=guard):
                 call()
         assert _plan.cache_info().misses == 0
 

@@ -239,6 +239,14 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.endswith("failed: each fixed orbit has full size q^3 - q\n")
 
+    def test_fixed_orbits_past_the_log_tables_names_the_ceiling(self, capsys):
+        # the sweep reads the field's exp/log tables, which stop at m = 16
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "fixed-orbits", "--n", "17", "--r", "5")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "error: GF(2^17) exceeds the 2^16 log-table ceiling of the coset sweep\n"
+
     def test_linear_degree_exits_1(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--r", "1")
         assert (code, out) == (1, "")
@@ -304,6 +312,12 @@ class TestOrbitsCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err == "error: |PGL2(F_1024)| = 1073740800 exceeds the 2^21 guard\n"
+
+    def test_pgl_guard_refuses_q_256(self, capsys):
+        # materialization keeps the group-size guard that the sweep no longer shares
+        code, out, err = run(capsys, "orbits", "--q", "256", "--r", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: |PGL2(F_256)| = 16776960 exceeds the 2^21 guard\n"
 
     def test_domain_guard_priced_in_bits(self, capsys):
         # 8^999999999 would be a 3-gigabit integer; the library guards compare 3 * r with 20 and 16

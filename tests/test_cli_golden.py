@@ -25,6 +25,11 @@ CASES = {
     "verify_fixed-orbits_n7_r11.plain": "verify --suite fixed-orbits --n 7 --r 11",
     "verify_fixed-orbits_n7_r11.json": "verify --suite fixed-orbits --n 7 --r 11 --format json",
     "verify_fixed-orbits_n7_r13.plain": "verify --suite fixed-orbits --n 7 --r 13",
+    "verify_fixed-orbits_n11_r5.plain": "verify --suite fixed-orbits --n 11 --r 5",
+    "verify_fixed-orbits_n11_r5.json": "verify --suite fixed-orbits --n 11 --r 5 --format json",
+    "verify_fixed-orbits_n11_r7.plain": "verify --suite fixed-orbits --n 11 --r 7",
+    "verify_fixed-orbits_n13_r5.plain": "verify --suite fixed-orbits --n 13 --r 5",
+    "verify_fixed-orbits_n13_r7.plain": "verify --suite fixed-orbits --n 13 --r 7",
     "verify_bijection_n2_r5.plain": "verify --suite bijection --n 2 --r 5",
     "verify_bijection_n2_r5.json": "verify --suite bijection --n 2 --r 5 --format json",
     "orbits_q8_r5.plain": "orbits --q 8 --r 5",
