@@ -23,8 +23,9 @@ log domain on the field's exp/log tables (m <= 16).  Canonical forms,
 stabilizers and the sigma^r-fixedness tests use that sweep and
 materialize no orbit; its guard prices it in Taylor shifts.  A bounded
 memo of 16 seeds holds each seed's sweep and Ben-Or verdict, so asking
-`stabilizer` and both fixedness methods about one f sweeps f and
-sigma^r f once each and tests f once.
+`stabilizer` and both fixedness methods about one f sweeps f once, tests
+f once and walks f's representatives once more, toward sigma^r of its
+canonical form.
 """
 
 from __future__ import annotations
@@ -53,9 +54,13 @@ IDENTITY: Matrix = (1, 0, 0, 1)
 _PGL_GUARD_BITS = 21
 _SWEEP_GUARD_BITS = 21
 
-# Seeds whose canonical sweep and Ben-Or verdict are kept: room for one
-# query's f and sigma^r f at a small, fixed memory cost.
+# Seeds whose canonical sweep and Ben-Or verdict are kept, at a small,
+# fixed memory cost.
 _SEED_MEMO_SIZE = 16
+
+# The top entries of a coset representative computed up front: walks read
+# the top three of each, the fourth of 1/3-2/3 and lower of 1-28 % of them.
+_HEAD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,7 @@ class Orbit(namedtuple("Orbit", "members")):
         return f in self.members
 
 
-_Plan = namedtuple("_Plan", "powers lucas terms offsets least")
+_Plan = namedtuple("_Plan", "powers lucas terms head rest offsets least")
 
 
 # Each benchmark workload and each CLI command sweeps at a single (field, degree),
@@ -280,6 +285,7 @@ def _plan(gf: GF2m, r: int) -> _Plan:
     powers[v][d]: the product row of v^d for d <= r (0^0 = 1).
     lucas: (i, j, j - i) for each j <= r and each i < j whose bits lie in j.
     terms[i], i < r: the (j, j - i) of lucas that land on i.
+    head, rest: lucas as (r - i, j, j - i), i < _HEAD and i >= _HEAD.
     offsets[k][j], j < r: (r - j) k mod s, the log of u^(r - j) for u = g^k,
     so c u^-(r - j) is exp[log c - log(lead) - offsets[k][j]] once scaled
     by 1/lead; that index lies in (-2s, s), which exp's 2s entries take
@@ -290,9 +296,11 @@ def _plan(gf: GF2m, r: int) -> _Plan:
     powers = tuple(tuple(rows[exp[log[v] * d % s] if v else 0**d] for d in range(r + 1)) for v in range(gf.order))
     lucas = tuple((i, j, j - i) for j in range(1, r + 1) for i in range(j) if i & j == i)
     terms = tuple(tuple((j, d) for t, j, d in lucas if t == i) for i in range(r))
+    head = tuple((r - i, j, d) for i, j, d in lucas if i < _HEAD)
+    rest = tuple((r - i, j, d) for i, j, d in lucas if i >= _HEAD)
     offsets = tuple(tuple((r - j) * k % s for j in range(r)) for k in range(s))
     least = tuple(_least_scalings(exp, s, r - j) for j in range(r))
-    return _Plan(powers, lucas, terms, offsets, least)
+    return _Plan(powers, lucas, terms, head, rest, offsets, least)
 
 
 def _least_scalings(exp: list[int], s: int, e: int) -> tuple[tuple[int, ...], ...]:
@@ -334,15 +342,37 @@ def _check_seed(gf: GF2m, f: Poly) -> int:
     return r
 
 
-def _coset_representatives(gf: GF2m, f: Poly, r: int) -> list[tuple[int | None, list[int]]]:
-    """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma)."""
-    plan = _plan(gf, r)
-    reps = [(None, list(f))] + [(gamma, _taylor_shift(plan, f, gamma)[::-1]) for gamma in range(gf.order)]
-    for gamma, h in reps:
+# One entry: the direct fixedness test walks the representatives its sweep of f built.
+@lru_cache(maxsize=1)
+def _representatives(gf: GF2m, f: Poly) -> list[tuple[int | None, list[int]]]:
+    """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma).
+
+    f is a seed tuple `_check_seed` passed.  Each h holds its _HEAD top
+    entries and -1 below them until `_fill`, its only writer, computes
+    them; the memo hands the same lists to every caller.
+    """
+    r = len(f) - 1
+    plan, reps = _plan(gf, r), [(None, list(f))]
+    unread, top = [-1] * (r + 1 - _HEAD), list(f[_HEAD - 1::-1])
+    for gamma, pw in enumerate(plan.powers):
+        h = unread + top
+        for i, j, d in plan.head:
+            h[i] ^= pw[d][f[j]]
         # h[r] is f(gamma): a root in F_q, which some Möbius map sends to infinity
-        if h[r] == 0:
+        if not h[r]:
             raise ValueError(f"the seed has the root {gamma} in F_q, so it is reducible")
+        reps.append((gamma, h))
     return reps
+
+
+def _fill(plan: _Plan, f: Poly, gamma: int | None, h: list[int]) -> list[int]:
+    """h of `_representatives` with every entry computed."""
+    if h[0] < 0:
+        h[:-_HEAD] = f[:_HEAD - 1:-1]
+        pw = plan.powers[gamma]
+        for i, j, d in plan.rest:
+            h[i] ^= pw[d][f[j]]
+    return h
 
 
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
@@ -358,8 +388,8 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
     members = set()
-    for _, h in _coset_representatives(gf, f, r):
-        lead = log[h[r]]
+    for gamma, h in _representatives(gf, tuple(f)):
+        lead = log[_fill(plan, f, gamma, h)[r]]
         for v in range(gf.order):
             c = _taylor_shift(plan, h, v)
             cols = [ones]
@@ -391,16 +421,17 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     least so far from x^(r-1) down, computing each c_j only when reached;
     only a new least is built in full.  The hits are the group elements
     sending f to the least member, so there are |Stab(f)| of them.  Per
-    seed: q + 1 Taylor shifts, then q + 1 candidates at odd r and q(q + 1)
-    at even r, most refused within the first two or three coefficients.
+    seed: q Taylor shifts, most of them of the top _HEAD coefficients
+    only, then q + 1 candidates at odd r and q(q + 1) at even r, most
+    refused within the first two or three coefficients.
     """
     r = len(f) - 1
     plan = _plan(gf, r)
-    powers, _, terms, offsets, least = plan
+    powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least
     rows, exp, log = gf.rows, gf._exp, gf._log
     # best[j]: the x^j coefficient of the least candidate so far; q is above every element.
     best, hits = [gf.order] * r, []
-    for gamma, h in _coset_representatives(gf, f, r):
+    for gamma, h in _representatives(gf, f):
         lead = log[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
@@ -408,6 +439,8 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             while True:
                 ct = h[top]
+                if ct < 0:
+                    ct = _fill(plan, f, gamma, h)[top]
                 for j, d in terms[top]:
                     ct ^= pw[d][h[j]]
                 if ct:
@@ -427,10 +460,12 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
                         break
                     i -= 1
                     ci = h[i]
+                    if ci < 0:
+                        ci = _fill(plan, f, gamma, h)[i]
                     for j, d in terms[i]:
                         ci ^= pw[d][h[j]]
                 if below:
-                    c = _taylor_shift(plan, h, v)
+                    c = _taylor_shift(plan, _fill(plan, f, gamma, h), v)
                     best = [exp[log[cj] - lead - o] if cj else 0 for cj, o in zip(c, off)]
                     hits, below = [(gamma, v, exp[k])], False
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
@@ -440,6 +475,54 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
         for gamma, v, u in hits
     )
     return tuple(best) + (1,), mats
+
+
+def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
+    """Is target in PGL(f)?  `_sweep`'s candidates, each compared with target alone.
+
+    f is a seed tuple `_check_seed` passed; target is monic of degree r,
+    an x^0 term and, at odd r, no x^(r-1) term, so one translation per
+    representative can reach it.  A candidate matches at t, target's top
+    index below r, for the u = g^k with (r - t) k = log c_t - log h_r -
+    log target_t (mod s): gcd(r - t, s) of them or none.
+    """
+    r = len(f) - 1
+    plan = _plan(gf, r)
+    powers, terms, offsets = plan.powers, plan.terms, plan.offsets
+    s, exp, log = gf.mult_order, gf._exp, gf._log
+    t = max(j for j in range(r) if target[j])
+    g = gcd(r - t, s)
+    span, want = s // g, log[target[t]]
+    inv = pow((r - t) // g, -1, span)
+    for gamma, h in _representatives(gf, f):
+        lead = log[h[r]]
+        for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
+            pw = powers[v]
+            for i in range(r - 1, t - 1, -1):
+                ci = h[i]
+                if ci < 0:
+                    ci = _fill(plan, f, gamma, h)[i]
+                for j, d in terms[i]:
+                    ci ^= pw[d][h[j]]
+                if ci:
+                    break
+            l = log[ci] - lead - want
+            if i != t or not ci or l % g:
+                continue
+            for k in range(l // g * inv % span, s, span):
+                off, i = offsets[k], t
+                while i:
+                    i -= 1
+                    ci = h[i]
+                    if ci < 0:
+                        ci = _fill(plan, f, gamma, h)[i]
+                    for j, d in terms[i]:
+                        ci ^= pw[d][h[j]]
+                    if (exp[log[ci] - lead - off[i]] if ci else 0) != target[i]:
+                        break
+                else:
+                    return True
+    return False
 
 
 def orbit_canonical(gf: GF2m, f: Poly) -> Poly:
@@ -509,8 +592,10 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     divisors of x^(2^r) + x, i.e. is its canonical form one of theirs?
     Such divisors exist only when gcd(r, n) = 1; elsewhere this method
     raises ValueError.  method="direct": is sigma^r f itself an orbit
-    member, i.e. do f and sigma^r f share a canonical form?  Where both
-    apply they must agree; tests cross-check them.  f must have degree r
+    member, i.e. do f and sigma^r f share a canonical form?  As
+    sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r of
+    f's canonical form lies in PGL(f), which `_reaches` tests.  Where both
+    methods apply they must agree; tests cross-check them.  f must have degree r
     and be irreducible: Ben-Or's test runs once per seed while the seed
     stays in the bounded memo of `_irreducible_seed`, so asking both
     methods tests f once, and a reducible seed is refused on every call.
@@ -527,7 +612,7 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
             raise ValueError(f"the divisibility method needs gcd(r, n) = 1, got gcd({params.r}, {params.n}) = {common}")
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
-        return orbit_canonical(gf, poly_frobenius(gf, f, params.r)) == orbit_canonical(gf, f)
+        return _reaches(gf, tuple(f), poly_frobenius(gf, orbit_canonical(gf, f), params.r))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -264,8 +264,13 @@ class GF2m:
     def frobenius(self, a: int, k: int) -> int:
         """a^(2^k); k is reduced mod m since squaring m times is identity."""
         self._check(a)
-        k %= self.m
-        for _ in range(k):
+        return self._frobenius(a, k)
+
+    def _frobenius(self, a: int, k: int) -> int:
+        if a and self._exp is not None:
+            # log a^(2^k) = 2^(k mod m) log a (mod s): one table read, like inv
+            return self._exp[(self._log[a] << k % self.m) % self.mult_order]
+        for _ in range(k % self.m):
             a = self._product(a, a)
         return a
 

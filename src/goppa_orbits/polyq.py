@@ -126,9 +126,10 @@ def poly_powmod(gf: GF2m, f: Poly, e: int, mod: Poly) -> Poly:
 
 
 def poly_frobenius(gf: GF2m, f: Poly, k: int) -> Poly:
-    """Apply a^(2^k) to every coefficient."""
-    frob = gf.frobenius
-    return tuple(frob(a, k) for a in f)
+    """Apply a^(2^k) to every coefficient; f is checked once."""
+    gf._check(*f)
+    frob = gf._frobenius
+    return tuple([frob(a, k) for a in f])
 
 
 def poly_sort_key(f: Poly):

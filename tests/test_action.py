@@ -5,6 +5,7 @@ fields where a full sweep is cheap.  The heavier exhaustive sweeps (all
 of I_5, all of I_7 sampling) live in the acceptance suite.
 """
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -342,6 +343,9 @@ class TestOrbitsAndStabilizers:
             (lambda: stabilizer(gf8, (0, 0, 0, 1)), 0),  # x^3
             (lambda: orbit_canonical(gf8, (5, 4, 4, 1)), 5),  # (x + 5)(x^2 + x + 1)
             (lambda: stabilizer(gf8, (5, 4, 4, 1)), 5),
+            # the membership walk refuses the same seeds before it walks
+            (lambda: action._reaches(gf8, (0, 0, 0, 1), (1, 1, 0, 1)), 0),
+            (lambda: action._reaches(gf8, (5, 4, 4, 1), (1, 1, 0, 1)), 5),
         ]
         for call, root in cases:
             with pytest.raises(ValueError, match=rf"^the seed has the root {root} in F_q, so it is reducible$"):
@@ -468,7 +472,8 @@ class TestCanonicalSweep:
                 row.append(gf.mul(row[-1], iu))
             inverse_powers.append(row)
         candidates = []
-        for _, h in action._coset_representatives(gf, f, r):
+        for gamma, h in action._representatives(gf, f):
+            h = action._fill(plan, f, gamma, h)
             ilead = gf.inv(h[r])
             c = _taylor_shift(plan, h, gf.mul(h[r - 1], ilead))
             # every scaling x -> u x, made monic, highest coefficient first
@@ -571,6 +576,25 @@ class TestSweepKernels:
             assert _taylor_shift(plan, f, v) == list(shifted)
             assert _taylor_shift(plan, h, v) == list(poly_scale(gf, lead, shifted))
 
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 8, 13])
+    def test_representatives_are_the_reversed_shifts(self, m, r, rng):
+        # the top entries up front, the rest -1 until filled, then x^r f(1/x + gamma) in full
+        gf = make_field(m)
+        plan = _plan(gf, r)
+        for _ in range(3):
+            f = random_irreducible(gf, r, rng)
+            action._representatives.cache_clear()
+            reps = action._representatives(gf, f)
+            assert [gamma for gamma, _ in reps] == [None] + list(range(gf.order))
+            assert reps[0][1] == list(f)
+            for gamma, h in reps[1:]:
+                shifted = _taylor_shift(plan, f, gamma)[::-1]
+                unread = max(r + 1 - action._HEAD, 0)
+                assert h == [-1] * unread + shifted[unread:]
+                assert action._fill(plan, f, gamma, h) is h
+                assert h == shifted
+
     # s = q - 1 is 3, 7, 15, 31, 63, 127, 2047 = 23 * 89 and 8191: the gaps
     # 1..19 meet gcd(e, s) of 1, 3, 5, 7, 9 and 15
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 11, 13])
@@ -665,6 +689,45 @@ class TestSigmaRFixedOrbits:
                     f, params, "direct"
                 ), (n, r, f)
 
+    @pytest.mark.parametrize("m, r", [(1, 5), (1, 6), (1, 11), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)])
+    def test_reaches_is_orbit_membership(self, m, r, rng):
+        # every monic target with a nonzero x^0 coefficient (at odd r, none at
+        # x^(r-1)), irreducible or not, against up to three materialized orbits
+        gf = make_field(m)
+        head = product(range(1, gf.order), *[range(gf.order)] * (r - 2), [0] if r % 2 else range(gf.order))
+        targets = [t + (1,) for t in head]
+        orbits = list(pgl_orbits(gf, r))
+        met = set()
+        for orbit in rng.sample(orbits, min(3, len(orbits))):
+            f = orbit.members[rng.randrange(orbit.size)]
+            found = [action._reaches(gf, f, t) for t in targets]
+            assert found == [t in orbit for t in targets]
+            met.update(found)
+        assert met == {False, True}
+
+    @pytest.mark.parametrize("n, r", [(2, 5), (3, 4), (2, 6), (4, 3)])
+    def test_direct_is_the_shared_canonical_form_on_every_irreducible(self, n, r):
+        gf, params = make_field(n), Parameters(n, r, strict=False)
+        fixed = 0
+        for f in enumerate_irreducibles(gf, r):
+            shared = orbit_canonical(gf, poly_frobenius(gf, f, r)) == orbit_canonical(gf, f)
+            assert is_orbit_sigma_r_fixed(f, params, "direct") == shared
+            fixed += shared
+        assert fixed > 0
+
+    def test_direct_is_the_shared_canonical_form_at_3_7(self, gf8, rng):
+        # divisors and their images are fixed, x^7 + g has |Stab| = 7, random septics mostly are not
+        params = Parameters(3, 7, strict=False)
+        divisors = divisor_polynomials(params)
+        seeds = list(divisors[:6]) + [act_poly(gf8, random_matrix(gf8, rng), d) for d in divisors[:6]]
+        seeds += [(2, 0, 0, 0, 0, 0, 0, 1)] + [random_irreducible(gf8, 7, rng) for _ in range(20)]
+        answers = []
+        for f in seeds:
+            shared = orbit_canonical(gf8, poly_frobenius(gf8, f, 7)) == orbit_canonical(gf8, f)
+            assert is_orbit_sigma_r_fixed(f, params, "direct") == shared
+            answers.append(shared)
+        assert all(answers[:12]) and not all(answers)
+
     def test_exactly_one_fixed_orbit_at_3_5(self):
         # 6 divisor polynomials / 6 per orbit
         params = Parameters(3, 5, strict=False)
@@ -725,30 +788,30 @@ class TestSeedMemo:
             is_orbit_sigma_r_fixed(f, params, "direct"),
         )
 
-    def test_one_query_sweeps_twice_and_tests_once(self, gf8, rng, monkeypatch):
+    def test_one_query_sweeps_once_walks_once_and_tests_once(self, gf8, rng, monkeypatch):
         f = random_irreducible(gf8, 7, rng)
-        sigma_r_f = poly_frobenius(gf8, f, 7)
-        assert sigma_r_f != f
+        assert poly_frobenius(gf8, f, 7) != f
         expected = self._query(gf8, f, self.PARAMS)
         _sweep.cache_clear()
         _irreducible_seed.cache_clear()
-        # every sweep starts from the seed's coset representatives
-        tested, swept = [], []
-        real_sweep = action._coset_representatives
+        # the direct method walks f's representatives toward sigma^r of its canonical form
+        tested, walked = [], []
+        real_walk = action._reaches
 
         def counting_test(gf, g):
             tested.append(tuple(g))
             return is_irreducible(gf, g)
 
-        def counting_sweep(gf, g, r):
-            swept.append(tuple(g))
-            return real_sweep(gf, g, r)
+        def counting_walk(gf, g, target):
+            walked.append((tuple(g), target))
+            return real_walk(gf, g, target)
 
         monkeypatch.setattr("goppa_orbits.action.is_irreducible", counting_test)
-        monkeypatch.setattr("goppa_orbits.action._coset_representatives", counting_sweep)
+        monkeypatch.setattr("goppa_orbits.action._reaches", counting_walk)
         assert self._query(gf8, f, self.PARAMS) == expected
+        assert (_sweep.cache_info().misses, _sweep.cache_info().currsize) == (1, 1)
         assert tested == [f]
-        assert swept == [f, sigma_r_f]
+        assert walked == [(f, poly_frobenius(gf8, orbit_canonical(gf8, f), 7))]
 
     def test_stabilizer_list_is_fresh(self, gf8, rng):
         for f, size in ((self.SEVEN_FOLD, 7), (random_irreducible(gf8, 7, rng), 1)):

@@ -163,6 +163,27 @@ class TestFrobeniusAndTrace:
             assert gf.frobenius(a ^ b, k) == gf.frobenius(a, k) ^ gf.frobenius(b, k)
             assert gf.frobenius(gf.mul(a, b), k) == gf.mul(gf.frobenius(a, k), gf.frobenius(b, k))
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_frobenius_is_repeated_squaring_everywhere(self, m):
+        # the log-table read against squaring, for every element and every k < m
+        gf = make_field(m)
+        for a in gf.elements():
+            squares = [a]
+            for _ in range(m - 1):
+                squares.append(gf.square(squares[-1]))
+            assert [gf.frobenius(a, k) for k in range(m)] == squares
+
+    @pytest.mark.parametrize("m", [11, 12, 13, 14, 15, 16, 17, 24])
+    def test_frobenius_is_repeated_squaring_sampled(self, m, rng):
+        # m > 16 has no log tables and squares; k outside 0..m-1 is reduced mod m
+        gf = make_field(m)
+        for a in [0, 1, gf.order - 1] + [rng.randrange(gf.order) for _ in range(40)]:
+            k = rng.randrange(-m, 3 * m)
+            b = a
+            for _ in range(k % m):
+                b = gf.square(b)
+            assert gf.frobenius(a, k) == b
+
     @pytest.mark.parametrize("n,r", [(3, 5), (3, 7), (5, 7), (5, 9)])
     def test_trace_image_identity(self, n, r):
         # {h^2 + h} and {h^(2^r) + h} coincide when gcd(r, n) = 1

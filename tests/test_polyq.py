@@ -41,6 +41,7 @@ from goppa_orbits.polyq import (
     is_irreducible,
     monic_by_index,
     poly_eval,
+    poly_frobenius,
     poly_mul,
     poly_degree,
     poly_divmod,
@@ -126,6 +127,22 @@ class TestRingOps:
             poly_divmod(gf, (1, 1), ())
 
 
+class TestPolyFrobenius:
+    @pytest.mark.parametrize("m", [1, 3, 8, 17])
+    def test_each_coefficient_squared_k_times(self, m, rng):
+        # m = 17 has no log tables, so it squares
+        gf = make_field(m)
+        for _ in range(20):
+            f = tuple(rng.randrange(gf.order) for _ in range(8)) + (1,)
+            k = rng.randrange(-m, 3 * m)
+            squared = []
+            for a in f:
+                for _ in range(k % m):
+                    a = gf.square(a)
+                squared.append(a)
+            assert poly_frobenius(gf, f, k) == tuple(squared)
+
+
 class TestOperandChecks:
     @pytest.mark.parametrize("bad", [8, -1])
     def test_non_elements_rejected(self, gf8, bad):
@@ -137,6 +154,7 @@ class TestOperandChecks:
             lambda: poly_divmod(gf8, (bad, 0, 1), (1, 1)),
             lambda: poly_divmod(gf8, (bad,), (1, 1)),
             lambda: is_irreducible(gf8, (bad, 1, 1)),
+            lambda: poly_frobenius(gf8, (1, bad, 1), 1),
         ):
             with pytest.raises(ValueError, match="is not an element of GF"):
                 call()
