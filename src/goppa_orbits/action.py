@@ -21,8 +21,8 @@ only the least scalings tried: one translation each for odd degree r,
 which clears the x^(r-1) coefficient, all q for even r, compared in the
 log domain on the field's exp/log tables (m <= 16).  Canonical forms,
 stabilizers and the sigma^r-fixedness tests use that sweep and
-materialize no orbit; its guard prices it in Taylor shifts.  A bounded
-memo of 16 seeds holds each seed's sweep and Ben-Or verdict, so asking
+materialize no orbit; its guard prices it in Taylor shifts.  Every memo
+here keeps one entry (the last plan, seed and Parameters), so asking
 `stabilizer` and both fixedness methods about one f sweeps f once, tests
 f once and walks f's representatives once more, toward sigma^r of its
 canonical form.
@@ -54,12 +54,11 @@ IDENTITY: Matrix = (1, 0, 0, 1)
 _PGL_GUARD_BITS = 21
 _SWEEP_GUARD_BITS = 21
 
-# Seeds whose canonical sweep and Ben-Or verdict are kept, at a small,
-# fixed memory cost.
-_SEED_MEMO_SIZE = 16
-
 # The top entries of a coset representative computed up front: walks read
 # the top three of each, the fourth of 1/3-2/3 and lower of 1-28 % of them.
+# All of them up front (no `_fill`, no head/rest) made (3, 7) queries 2 % faster but
+# `fixed_orbit_classes` 20-35 % slower (py3.11, 2-core Xeon VM, ms, median of 5):
+# (7, 11) 36 -> 44, (7, 13) 131 -> 176, (11, 7) 110 -> 140, (13, 7) 494 -> 600.
 _HEAD = 4
 
 
@@ -201,7 +200,7 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     scales monic (signs vanish in characteristic 2).  The result is
     monic irreducible of the same degree whenever f is; irreducibility
     of the input is trusted here (`pgl_orbit` tests it on every call,
-    `is_orbit_sigma_r_fixed` once per seed through a bounded memo;
+    `is_orbit_sigma_r_fixed` once per seed through a one-entry memo;
     `orbit_canonical` and `stabilizer` accept any monic seed with no
     root in F_q), and a dropped degree raises since it can only mean a
     root in F_q or an arithmetic bug.  Applied with every matrix, it is
@@ -276,9 +275,9 @@ class Orbit(namedtuple("Orbit", "members")):
 _Plan = namedtuple("_Plan", "powers lucas terms head rest offsets least")
 
 
-# Each benchmark workload and each CLI command sweeps at a single (field, degree),
-# so a few entries hold a run's working set; one entry at q = 128, r = 19 is under 0.1 MiB.
-@lru_cache(maxsize=4)
+# Every memo here keeps one entry: a CLI command or library session asks about one (field, degree),
+# Parameters and seed at a time.  A plan is under 0.1 MiB at q = 128, r = 19, 82 MiB at q = 2^16, r = 5.
+@lru_cache(maxsize=1)
 def _plan(gf: GF2m, r: int) -> _Plan:
     """The tables a sweep at degree r over gf reads (m <= 16: callers check the sweep guard first).
 
@@ -403,13 +402,13 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     return tuple(m[::-1] for m in sorted(members))
 
 
-@lru_cache(maxsize=_SEED_MEMO_SIZE)
+@lru_cache(maxsize=1)
 def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
 
-    f is a seed `_check_seed` passed; the memo per (field, seed) lets
+    f is a seed `_check_seed` passed; the one-entry memo lets
     `stabilizer` and both sigma^r-fixedness methods asked about one seed
-    sweep it once.
+    sweep it once, unless the divisor classes are built in between.
 
     Each coset representative h goes through translations x -> x + v,
     then scalings x -> u x; made monic, c_j becomes c_j u^(j-r) / h_r (a
@@ -483,17 +482,16 @@ def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
     f is a seed tuple `_check_seed` passed; target is monic of degree r,
     an x^0 term and, at odd r, no x^(r-1) term, so one translation per
     representative can reach it.  A candidate matches at t, target's top
-    index below r, for the u = g^k with (r - t) k = log c_t - log h_r -
-    log target_t (mod s): gcd(r - t, s) of them or none.
+    index below r, for the u = g^k that scale c_t to target_t: as 1 is the
+    least nonzero element, the plan's least[t] row at log c_t - log h_r -
+    log target_t, unless its first k misses target_t and so does every k.
     """
     r = len(f) - 1
-    plan = _plan(gf, r)
-    powers, terms, offsets = plan.powers, plan.terms, plan.offsets
-    s, exp, log = gf.mult_order, gf._exp, gf._log
     t = max(j for j in range(r) if target[j])
-    g = gcd(r - t, s)
-    span, want = s // g, log[target[t]]
-    inv = pow((r - t) // g, -1, span)
+    plan = _plan(gf, r)
+    powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least[t]
+    s, exp, log = gf.mult_order, gf._exp, gf._log
+    want = log[target[t]]
     for gamma, h in _representatives(gf, f):
         lead = log[h[r]]
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
@@ -506,10 +504,12 @@ def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
                     ci ^= pw[d][h[j]]
                 if ci:
                     break
-            l = log[ci] - lead - want
-            if i != t or not ci or l % g:
+            if i != t or not ci:
                 continue
-            for k in range(l // g * inv % span, s, span):
+            ks = least[(log[ci] - lead - want) % s]
+            if exp[log[ci] - lead - offsets[ks[0]][t]] != target[t]:
+                continue
+            for k in ks:
                 off, i = offsets[k], t
                 while i:
                     i -= 1
@@ -568,7 +568,7 @@ def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
     return sorted((mat_mul(gf, back, mat) for mat in hits), key=_pgl_position)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def fixed_orbit_classes(params: Parameters) -> MappingProxyType:
     """The degree-r divisors of x^(2^r) + x, grouped by orbit canonical form.
 
@@ -594,11 +594,11 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     raises ValueError.  method="direct": is sigma^r f itself an orbit
     member, i.e. do f and sigma^r f share a canonical form?  As
     sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r of
-    f's canonical form lies in PGL(f), which `_reaches` tests.  Where both
-    methods apply they must agree; tests cross-check them.  f must have degree r
-    and be irreducible: Ben-Or's test runs once per seed while the seed
-    stays in the bounded memo of `_irreducible_seed`, so asking both
-    methods tests f once, and a reducible seed is refused on every call.
+    f's canonical form lies in PGL(f), which `_reaches` tests on the
+    sweep's least-scaling rows.  Where both methods apply they must agree.
+    f must have degree r and be irreducible: Ben-Or's test runs once per
+    seed while it stays in the one-entry memo of `_irreducible_seed`, so
+    asking both methods tests f once; a reducible seed is refused on every call.
     """
     gf = make_field(params.n)
     _check_sweep_guard(gf, params.r)
@@ -616,9 +616,9 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     raise ValueError(f"unknown method {method!r}")
 
 
-@lru_cache(maxsize=_SEED_MEMO_SIZE)
+@lru_cache(maxsize=1)
 def _irreducible_seed(gf: GF2m, f: Poly) -> bool:
-    """is_irreducible(gf, f), memoized per (field, seed) for `is_orbit_sigma_r_fixed`."""
+    """is_irreducible(gf, f) for `is_orbit_sigma_r_fixed`, memoized for the last (field, seed)."""
     return is_irreducible(gf, f)
 
 

@@ -29,7 +29,6 @@ from .gf2field import (
     make_field,
     make_tower,
     modulus_from_text,
-    modulus_to_bits,
     modulus_to_text,
 )
 from .polyq import Parameters, e_set_count, poly_to_bits, poly_to_text
@@ -298,7 +297,7 @@ def _cmd_field_info(args) -> list[str] | dict:
         "m": gf.m,
         "q": str(gf.order),
         "modulus_text": modulus_to_text(gf.modulus),
-        "modulus_bits": modulus_to_bits(gf.modulus),
+        "modulus_bits": elem_to_bits(gf.modulus, gf.m + 1),
     }
     if gf._log is not None:
         info["generator"] = elem_to_bits(gf.generator, gf.m)

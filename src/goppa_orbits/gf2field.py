@@ -125,11 +125,6 @@ def modulus_to_text(mod: int) -> str:
     return "+".join(terms)
 
 
-def modulus_to_bits(mod: int) -> str:
-    """Coefficient bit-string, lowest degree first, e.g. 0b1011 -> '1101'."""
-    return "".join("1" if (mod >> i) & 1 else "0" for i in range(mod.bit_length()))
-
-
 def modulus_from_text(text: str) -> int:
     """Parse either text form of a binary polynomial.
 

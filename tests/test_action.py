@@ -861,6 +861,17 @@ class TestSeedMemo:
         # the sieve oracle and the quintic fixture call Ben-Or in hot loops
         assert not hasattr(polyq.is_irreducible, "cache_info")
 
+    def test_every_memo_keeps_one_entry(self, gf8, rng):
+        # one plan resident at a time: at q = 2^16, r = 5 a plan holds about 82 MiB
+        for gf, r in ((gf8, 7), (make_field(5), 5)):
+            f = random_irreducible(gf, r, rng)
+            stabilizer(gf, f)
+            is_orbit_sigma_r_fixed(f, Parameters(gf.m, r, strict=False), "direct")
+        for params in (Parameters(3, 7, strict=False), Parameters(5, 3, strict=False)):
+            fixed_orbit_classes(params)
+        for memo in (_plan, _sweep, _irreducible_seed, action._representatives, fixed_orbit_classes):
+            assert memo.cache_info().currsize == 1
+
 
 class TestRootOrbitCorrespondence:
     def test_poly_fixed_iff_root_orbit_fixed(self, tower_3_5, rng):

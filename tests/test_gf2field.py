@@ -16,7 +16,6 @@ from goppa_orbits.gf2field import (
     make_field,
     make_tower,
     modulus_from_text,
-    modulus_to_bits,
     modulus_to_text,
     smallest_irreducible,
     subfield_elements,
@@ -81,7 +80,7 @@ class TestModulusSelection:
     def test_text_forms_round_trip(self):
         mod = smallest_irreducible(3)
         assert modulus_to_text(mod) == "x^3+x+1"
-        assert modulus_to_bits(mod) == "1101"
+        assert elem_to_bits(mod, 4) == "1101"
         assert modulus_from_text("x^3+x+1") == mod
         assert modulus_from_text("1101") == mod
 
