@@ -79,7 +79,7 @@ def mat_canonical(gf: GF2m, mat: Matrix) -> Matrix:
     lead = next(e for e in mat if e)
     if lead == 1:
         return mat
-    rs = gf.rows[gf.inv(lead)]
+    rs = gf.rows[gf._inverse(lead)]
     return tuple(rs[e] for e in mat)
 
 

@@ -187,18 +187,22 @@ class GF2m:
         return gf2_mod(clmul(a, b), self.modulus)
 
     def _build_tables(self) -> None:
+        # exp[i + 1] = exp[i] * g: shift over the set bits of g, fold bits >= m back by table
         g = self._find_generator()
-        s = self.mult_order
-        exp = [1] * (2 * s if s > 1 else 2)
-        v = 1
-        for i in range(1, s):
-            v = self._mul_raw(v, g)
-            exp[i] = v
-        for i in range(s, len(exp)):
-            exp[i] = exp[i - s]
+        m, s, mask = self.m, self.mult_order, self.order - 1
+        shifts = [j for j in range(g.bit_length()) if g >> j & 1]
+        fold = [gf2_mod(h << m, self.modulus) for h in range(1 << (g.bit_length() - 1))]
+        exp = [0] * s
         log = [-1] * self.order
+        v = 1
         for i in range(s):
-            log[exp[i]] = i
+            exp[i] = v
+            log[v] = i
+            w = 0
+            for j in shifts:
+                w ^= v << j
+            v = w & mask ^ fold[w >> m]
+        exp *= 2
         self.generator = g
         self._exp = exp
         self._log = log
@@ -252,6 +256,10 @@ class GF2m:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self._inverse(a)
+
+    def _inverse(self, a: int) -> int:
+        """1/a for a nonzero element already checked."""
         if self._exp is not None:
             return self._exp[self.mult_order - self._log[a]]
         return gf2_invmod(a, self.modulus)

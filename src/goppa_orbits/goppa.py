@@ -138,7 +138,7 @@ def congruence_holds(spec: GoppaSpec, word: int) -> bool:
             for c in reversed(spec.g):
                 acc = ra[acc] ^ c
                 quotient.append(acc)
-            scale = rows[gf.inv(quotient.pop())]
+            scale = rows[gf._inverse(quotient.pop())]
             for i, c in enumerate(quotient):
                 total[i] ^= scale[c]
     return not any(total)

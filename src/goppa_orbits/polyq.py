@@ -146,9 +146,11 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
 
     f of degree r is irreducible iff gcd(x^(q^k) - x mod f, f) = 1 for
     every k = 1 .. r // 2; the loop stops at the first nontrivial gcd.
-    f is checked once here and made monic.  A square mod f reads x^(2i) mod f,
-    2i >= r, as product rows from a table built once, so it divides nothing;
-    the gcds run on lists in place.
+    f is checked once here and made monic.  x^k mod f, k = r .. 2r - 1, is
+    built once by shift-and-fold; a square mod f reads its even powers as
+    product rows, so it divides nothing.  The first round starts from the
+    largest x^(2^j) with 2^j <= min(q, 2r - 1), so it squares nothing when
+    q <= 2r - 1.  The gcds run on lists in place, inverting by table.
     """
     r = poly_degree(f)
     if r < 1:
@@ -156,24 +158,28 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
     gf._check(*f)
     if not f[r]:
         raise ValueError(f"zero leading coefficient f[{r}]: a polynomial tuple has no trailing zeros")
-    rows = gf.rows
-    low = [rows[gf.inv(f[r])][a] for a in f[:r]]
-    # x^r = low mod f in characteristic 2; x^(k+1) shifts x^k and folds its top back.
-    power, folds = low, []
-    for k in range(r, 2 * r - 1):
-        if not k & 1:
-            folds.append([rows[a] for a in power])
-        rt = rows[power[-1]]
-        power = [a ^ rt[b] for a, b in zip([0] + power[:-1], low)]
-    half, t = (r + 1) // 2, [0, 1] + [0] * (r - 2)
+    rows, inverse = gf.rows, gf._inverse
+    low = [rows[inverse(f[r])][a] for a in f[:r]]
+    # powers[i] = x^(r+i) mod f: x^r = low in characteristic 2, and x^(k+1)
+    # shifts x^k and folds its top back; squarings fold through the even ones.
+    powers = [low]
+    for _ in range(r - 1):
+        rt = rows[powers[-1][-1]]
+        powers.append([a ^ rt[b] for a, b in zip([0] + powers[-1][:-1], low)])
+    folds = [[rows[a] for a in power] for power in powers[r & 1 : r - 1 : 2]]
+    # x^e, e = 2^j: a monomial below x^r, else read from powers
+    e = 1 << min(gf.m, (2 * r - 1).bit_length() - 1)
+    t = powers[e - r] if e >= r else [0] * e + [1] + [0] * (r - e - 1)
+    half, squarings = (r + 1) // 2, gf.m + 1 - e.bit_length()
     for _ in range(r // 2):
-        for _ in range(gf.m):
+        for _ in range(squarings):
             sq = [rows[a][a] for a in t]
             t = [0] * r
             t[::2] = sq[:half]
             for a, fold in zip(sq[half:], folds):
                 if a:
                     t = [b ^ row[a] for b, row in zip(t, fold)]
+        squarings = gf.m
         # gcd(t - x, f) by Euclid on lists; u runs from f, w from t - x.
         u, w = low + [1], t[:]
         w[1] ^= 1
@@ -181,7 +187,7 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
             w.pop()
         while len(w) > 1:
             dw = len(w) - 1
-            inv = rows[gf.inv(w[-1])]
+            inv = rows[inverse(w[-1])]
             for top in range(len(u) - 1, dw - 1, -1):
                 if u[top]:
                     rc = rows[inv[u[top]]]

@@ -125,6 +125,36 @@ class TestArithmetic:
             assert gf.mul(a, b) == gf._mul_raw(a, b)
 
 
+class TestTables:
+    """exp and log against the plain recurrence exp[i + 1] = exp[i] * g by `_mul_raw`."""
+
+    @staticmethod
+    def _assert_tables_follow_the_generator(gf):
+        g, powers, v = gf.generator, [], 1
+        for _ in range(gf.mult_order):
+            powers.append(v)
+            v = gf._mul_raw(v, g)
+        assert v == 1 and sorted(powers) == list(range(1, gf.order))  # g is primitive
+        assert gf._exp == powers * 2
+        assert gf._log[0] == -1 and all(gf._log[a] == i for i, a in enumerate(powers))
+        assert all(gf._exp[gf._log[a]] == a for a in range(1, gf.order))
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_exhaustive_up_to_the_table_ceiling(self, m):
+        self._assert_tables_follow_the_generator(make_field(m))
+
+    def test_generators_cover_one_to_three_set_bits(self):
+        # the fold table has 2^(deg g) entries; m = 9 and 14 take g = x^2 + x + 1
+        assert {make_field(m).generator for m in range(1, 17)} == {1, 2, 3, 7}
+        assert [m for m in range(1, 17) if make_field(m).generator == 7] == [9, 14]
+
+    def test_modulus_where_x_is_not_primitive(self):
+        gf = GF2m(4, modulus_from_text("x^4+x^3+x^2+x+1"))
+        assert gf._pow_raw(2, 5) == 1  # x has order 5
+        assert gf.generator == 3
+        self._assert_tables_follow_the_generator(gf)
+
+
 class TestProductRows:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_list_table_exhaustive(self, m):

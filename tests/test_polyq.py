@@ -183,6 +183,16 @@ class TestIrreducibility:
         assert not is_irreducible(gf, poly_mul(gf, (12345, 1), (99999, 1)))
         assert is_irreducible(gf, (1, 0, 1, 0, 0, 1))
 
+    @pytest.mark.parametrize("n,r", [(11, 7), (13, 5)])
+    def test_divisors_beyond_the_list_tables(self, n, r, rng):
+        # m > 8: rows are computed products, and every inverse is an exp/log read
+        gf = make_field(n)
+        divisors = divisor_polynomials(Parameters(n, r))
+        assert divisors and all(is_irreducible(gf, f) for f in divisors)
+        for f in divisors:
+            g = tuple(rng.randrange(gf.order) for _ in range(rng.choice((2, 3)))) + (1,)
+            assert not is_irreducible(gf, poly_mul(gf, f, g))
+
     def test_zero_leading_coefficient_is_named(self, gf8):
         for f in ((1, 0), (1, 1, 0), (1, 1, 0, 0, 0, 0, 0, 0)):
             with pytest.raises(ValueError, match=rf"zero leading coefficient f\[{len(f) - 1}\]"):
@@ -225,7 +235,10 @@ class TestIrreducibility:
         "m,r", [(m, r) for m in range(1, 13) for r in range(1, 12 // m + 1)] + [(2, 8), (4, 4)]
     )
     def test_sieve_matches_ben_or_filter(self, m, r):
-        # every (q, r) with q^r <= 2^12, and two with q^r = 2^16, compared as ordered lists
+        # every (q, r) with q^r <= 2^12, and two with q^r = 2^16, compared as ordered lists;
+        # Ben-Or's first round reads x^q as a monomial when q < r, e.g. (m, r) = (2, 6),
+        # as x^r = low when q = r (2, 4), as one of its x^k when r < q <= 2r - 1 (2, 3),
+        # and squares from x^(2^j) <= x^(2r - 1) when q > 2r - 1 (3, 4)
         gf = make_field(m)
         assert list(enumerate_irreducibles(gf, r)) == _ben_or_filter(gf, r)
 
