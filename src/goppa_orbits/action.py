@@ -54,13 +54,6 @@ IDENTITY: Matrix = (1, 0, 0, 1)
 _PGL_GUARD_BITS = 21
 _SWEEP_GUARD_BITS = 21
 
-# The top entries of a coset representative computed up front: walks read
-# the top three of each, the fourth of 1/3-2/3 and lower of 1-28 % of them.
-# All of them up front (no `_fill`, no head/rest) made (3, 7) queries 2 % faster but
-# `fixed_orbit_classes` 20-35 % slower (py3.11, 2-core Xeon VM, ms, median of 5):
-# (7, 11) 36 -> 44, (7, 13) 131 -> 176, (11, 7) 110 -> 140, (13, 7) 494 -> 600.
-_HEAD = 4
-
 
 # ---------------------------------------------------------------------------
 # Matrices and group structure
@@ -272,7 +265,7 @@ class Orbit(namedtuple("Orbit", "members")):
         return f in self.members
 
 
-_Plan = namedtuple("_Plan", "powers lucas terms head rest offsets least")
+_Plan = namedtuple("_Plan", "powers lucas terms offsets least")
 
 
 # Every memo here keeps one entry: a CLI command or library session asks about one (field, degree),
@@ -284,7 +277,6 @@ def _plan(gf: GF2m, r: int) -> _Plan:
     powers[v][d]: the product row of v^d for d <= r (0^0 = 1).
     lucas: (i, j, j - i) for each j <= r and each i < j whose bits lie in j.
     terms[i], i < r: the (j, j - i) of lucas that land on i.
-    head, rest: lucas as (r - i, j, j - i), i < _HEAD and i >= _HEAD.
     offsets[k][j], j < r: (r - j) k mod s, the log of u^(r - j) for u = g^k,
     so c u^-(r - j) is exp[log c - log(lead) - offsets[k][j]] once scaled
     by 1/lead; that index lies in (-2s, s), which exp's 2s entries take
@@ -295,11 +287,9 @@ def _plan(gf: GF2m, r: int) -> _Plan:
     powers = tuple(tuple(rows[exp[log[v] * d % s] if v else 0**d] for d in range(r + 1)) for v in range(gf.order))
     lucas = tuple((i, j, j - i) for j in range(1, r + 1) for i in range(j) if i & j == i)
     terms = tuple(tuple((j, d) for t, j, d in lucas if t == i) for i in range(r))
-    head = tuple((r - i, j, d) for i, j, d in lucas if i < _HEAD)
-    rest = tuple((r - i, j, d) for i, j, d in lucas if i >= _HEAD)
     offsets = tuple(tuple((r - j) * k % s for j in range(r)) for k in range(s))
     least = tuple(_least_scalings(exp, s, r - j) for j in range(r))
-    return _Plan(powers, lucas, terms, head, rest, offsets, least)
+    return _Plan(powers, lucas, terms, offsets, least)
 
 
 def _least_scalings(exp: list[int], s: int, e: int) -> tuple[tuple[int, ...], ...]:
@@ -343,35 +333,26 @@ def _check_seed(gf: GF2m, f: Poly) -> int:
 
 # One entry: the direct fixedness test walks the representatives its sweep of f built.
 @lru_cache(maxsize=1)
-def _representatives(gf: GF2m, f: Poly) -> list[tuple[int | None, list[int]]]:
+def _representatives(gf: GF2m, f: Poly) -> tuple[tuple[int | None, Poly], ...]:
     """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma).
 
-    f is a seed tuple `_check_seed` passed.  Each h holds its _HEAD top
-    entries and -1 below them until `_fill`, its only writer, computes
-    them; the memo hands the same lists to every caller.
+    f is a seed tuple `_check_seed` passed.  Each h is built in full from
+    f's nonzero Lucas terms (gamma = 0 is the reversal itself).
     """
     r = len(f) - 1
-    plan, reps = _plan(gf, r), [(None, list(f))]
-    unread, top = [-1] * (r + 1 - _HEAD), list(f[_HEAD - 1::-1])
+    plan, reps, rev = _plan(gf, r), [(None, f)], list(f[::-1])
+    # the term v^d f_j of f(x + v)_i lands on x^(r - i) of the reversal
+    terms = [(r - i, d, f[j]) for i, j, d in plan.lucas if f[j]]
     for gamma, pw in enumerate(plan.powers):
-        h = unread + top
-        for i, j, d in plan.head:
-            h[i] ^= pw[d][f[j]]
+        h = rev[:]
+        if gamma:
+            for i, d, fj in terms:
+                h[i] ^= pw[d][fj]
         # h[r] is f(gamma): a root in F_q, which some Möbius map sends to infinity
         if not h[r]:
             raise ValueError(f"the seed has the root {gamma} in F_q, so it is reducible")
-        reps.append((gamma, h))
-    return reps
-
-
-def _fill(plan: _Plan, f: Poly, gamma: int | None, h: list[int]) -> list[int]:
-    """h of `_representatives` with every entry computed."""
-    if h[0] < 0:
-        h[:-_HEAD] = f[:_HEAD - 1:-1]
-        pw = plan.powers[gamma]
-        for i, j, d in plan.rest:
-            h[i] ^= pw[d][f[j]]
-    return h
+        reps.append((gamma, tuple(h)))
+    return tuple(reps)
 
 
 def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
@@ -387,8 +368,8 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
     # Members are collected highest coefficient first, where plain tuple
     # order is poly_sort_key order (every member has degree r).
     members = set()
-    for gamma, h in _representatives(gf, tuple(f)):
-        lead = log[_fill(plan, f, gamma, h)[r]]
+    for _, h in _representatives(gf, tuple(f)):
+        lead = log[h[r]]
         for v in range(gf.order):
             c = _taylor_shift(plan, h, v)
             cols = [ones]
@@ -420,9 +401,9 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     least so far from x^(r-1) down, computing each c_j only when reached;
     only a new least is built in full.  The hits are the group elements
     sending f to the least member, so there are |Stab(f)| of them.  Per
-    seed: q Taylor shifts, most of them of the top _HEAD coefficients
-    only, then q + 1 candidates at odd r and q(q + 1) at even r, most
-    refused within the first two or three coefficients.
+    seed: q Taylor shifts to build the representatives, then q + 1
+    candidates at odd r and q(q + 1) at even r, most refused within the
+    first two or three coefficients.
     """
     r = len(f) - 1
     plan = _plan(gf, r)
@@ -438,8 +419,6 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             while True:
                 ct = h[top]
-                if ct < 0:
-                    ct = _fill(plan, f, gamma, h)[top]
                 for j, d in terms[top]:
                     ct ^= pw[d][h[j]]
                 if ct:
@@ -459,12 +438,10 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
                         break
                     i -= 1
                     ci = h[i]
-                    if ci < 0:
-                        ci = _fill(plan, f, gamma, h)[i]
                     for j, d in terms[i]:
                         ci ^= pw[d][h[j]]
                 if below:
-                    c = _taylor_shift(plan, _fill(plan, f, gamma, h), v)
+                    c = _taylor_shift(plan, h, v)
                     best = [exp[log[cj] - lead - o] if cj else 0 for cj, o in zip(c, off)]
                     hits, below = [(gamma, v, exp[k])], False
     # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
@@ -498,8 +475,6 @@ def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
             pw = powers[v]
             for i in range(r - 1, t - 1, -1):
                 ci = h[i]
-                if ci < 0:
-                    ci = _fill(plan, f, gamma, h)[i]
                 for j, d in terms[i]:
                     ci ^= pw[d][h[j]]
                 if ci:
@@ -514,8 +489,6 @@ def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
                 while i:
                     i -= 1
                     ci = h[i]
-                    if ci < 0:
-                        ci = _fill(plan, f, gamma, h)[i]
                     for j, d in terms[i]:
                         ci ^= pw[d][h[j]]
                     if (exp[log[ci] - lead - off[i]] if ci else 0) != target[i]:
@@ -657,7 +630,7 @@ def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tup
     if degree < 2:
         raise ValueError("element orbits need alpha of degree >= 2 over the base field")
     base = tower.embedded
-    return [alpha] + [tower.ext.inv(alpha ^ e) for e in base], base
+    return [alpha] + [tower.ext._inverse(alpha ^ e) for e in base], base
 
 
 def _affine_images(ext: GF2m, reps: list[int], base: tuple[int, ...]) -> frozenset[int]:

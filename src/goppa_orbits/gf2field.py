@@ -8,8 +8,9 @@ are immutable after construction and safe to share.
 Multiplication is carry-less multiply followed by modular reduction.
 Fields with m <= 16 additionally build exp/log tables over a fixed
 primitive element.  `rows` is the unchecked product table, rows[a][b] =
-a*b (lists for m <= 8, computed on demand above), for the hot loops of
-polyq and action; their public functions check operands once per call.
+a*b (lists for m <= 8; above, each row computes its products on demand,
+one exp/log read each up to m = 16), for the hot loops of polyq and
+action; their public functions check operands once per call.
 
 Deterministic choices, documented so runs are reproducible everywhere:
 
@@ -178,7 +179,7 @@ class GF2m:
         self._log: list[int] | None = None
         if m <= _TABLE_DEGREE:
             self._build_tables()
-        self.rows = self._build_rows() if m <= _ROW_TABLE_DEGREE else _ComputedRows(self._product)
+        self.rows = self._build_rows() if m <= _ROW_TABLE_DEGREE else _ComputedRows(self)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, modulus={modulus_to_text(self.modulus)})"
@@ -239,18 +240,11 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        return self._product(a, b)
-
-    def _product(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self.rows[a][b]
 
     def square(self, a: int) -> int:
         self._check(a)
-        return self._product(a, a)
+        return self.rows[a][a]
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -274,7 +268,7 @@ class GF2m:
             # log a^(2^k) = 2^(k mod m) log a (mod s): one table read, like inv
             return self._exp[(self._log[a] << k % self.m) % self.mult_order]
         for _ in range(k % self.m):
-            a = self._product(a, a)
+            a = self._mul_raw(a, a)
         return a
 
     def elements(self) -> range:
@@ -282,18 +276,45 @@ class GF2m:
 
 
 class _ComputedRows:
-    """`GF2m.rows` for m > 8, where a list table would be too large: rows[a]
-    is this object with `a` set, whose [b] is a*b by `GF2m._product`."""
+    """`GF2m.rows` for m > 8, where a list table would be too large.  rows[a]
+    is chosen once per row, so rows[a][b] is one Python call: with exp/log
+    tables (m <= 16), a shared list of zeros for a = 0, else a `_LogRow`;
+    above m = 16, a `_RawRow`."""
 
-    __slots__ = ("product", "a")
+    __slots__ = ("exp", "log", "mul", "zeros")
 
-    def __init__(self, product, a=None):
-        self.product, self.a = product, a
+    def __init__(self, gf: GF2m):
+        self.exp, self.log, self.mul = gf._exp, gf._log, gf._mul_raw
+        self.zeros = None if self.log is None else [0] * gf.order
 
-    def __getitem__(self, b: int):
-        if self.a is None:
-            return _ComputedRows(self.product, b)
-        return self.product(self.a, b)
+    def __getitem__(self, a: int):
+        if self.log is None:
+            return _RawRow(self.mul, a)
+        return _LogRow(self.exp, self.log, self.log[a]) if a else self.zeros
+
+
+class _LogRow:
+    """rows[a] for a != 0 of a field with exp/log tables: [b] = exp[log a + log b]."""
+
+    __slots__ = ("exp", "log", "la")
+
+    def __init__(self, exp: list[int], log: list[int], la: int):
+        self.exp, self.log, self.la = exp, log, la
+
+    def __getitem__(self, b: int) -> int:
+        return self.exp[self.la + self.log[b]] if b else 0
+
+
+class _RawRow:
+    """rows[a] of a field without exp/log tables (m > 16): [b] = `GF2m._mul_raw`(a, b)."""
+
+    __slots__ = ("mul", "a")
+
+    def __init__(self, mul, a: int):
+        self.mul, self.a = mul, a
+
+    def __getitem__(self, b: int) -> int:
+        return self.mul(self.a, b)
 
 
 @lru_cache(maxsize=None)

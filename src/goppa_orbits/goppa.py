@@ -101,7 +101,8 @@ def build_goppa(spec: GoppaSpec) -> BinaryCode:
     ext = tower.ext
     q = tower.base.order
     check_length(tower.n)
-    h_row = [ext.inv(spec.alpha ^ e) for e in tower.embedded]
+    # alpha is a root of g, irreducible of degree >= 2, so no alpha + e is zero
+    h_row = [ext._inverse(spec.alpha ^ e) for e in tower.embedded]
     bin_rows = []
     for k in range(ext.m):
         row = 0

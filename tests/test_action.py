@@ -472,8 +472,7 @@ class TestCanonicalSweep:
                 row.append(gf.mul(row[-1], iu))
             inverse_powers.append(row)
         candidates = []
-        for gamma, h in action._representatives(gf, f):
-            h = action._fill(plan, f, gamma, h)
+        for _, h in action._representatives(gf, f):
             ilead = gf.inv(h[r])
             c = _taylor_shift(plan, h, gf.mul(h[r - 1], ilead))
             # every scaling x -> u x, made monic, highest coefficient first
@@ -579,7 +578,7 @@ class TestSweepKernels:
     @pytest.mark.parametrize("m", [1, 3, 7])
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 8, 13])
     def test_representatives_are_the_reversed_shifts(self, m, r, rng):
-        # the top entries up front, the rest -1 until filled, then x^r f(1/x + gamma) in full
+        # x^r f(1/x + gamma) in full, as immutable tuples
         gf = make_field(m)
         plan = _plan(gf, r)
         for _ in range(3):
@@ -587,13 +586,9 @@ class TestSweepKernels:
             action._representatives.cache_clear()
             reps = action._representatives(gf, f)
             assert [gamma for gamma, _ in reps] == [None] + list(range(gf.order))
-            assert reps[0][1] == list(f)
+            assert reps[0][1] == f
             for gamma, h in reps[1:]:
-                shifted = _taylor_shift(plan, f, gamma)[::-1]
-                unread = max(r + 1 - action._HEAD, 0)
-                assert h == [-1] * unread + shifted[unread:]
-                assert action._fill(plan, f, gamma, h) is h
-                assert h == shifted
+                assert h == tuple(_taylor_shift(plan, f, gamma)[::-1])
 
     # s = q - 1 is 3, 7, 15, 31, 63, 127, 2047 = 23 * 89 and 8191: the gaps
     # 1..19 meet gcd(e, s) of 1, 3, 5, 7, 9 and 15

@@ -22,6 +22,8 @@ CASES = {
     "table_n7_r3_5_11.csv": "table --n 7 --r 3,5,11 --format csv",
     "verify_fixed-orbits_n5_r7.plain": "verify --suite fixed-orbits --n 5 --r 7",
     "verify_fixed-orbits_n5_r7.json": "verify --suite fixed-orbits --n 5 --r 7 --format json",
+    "verify_fixed-orbits_n5_r13.plain": "verify --suite fixed-orbits --n 5 --r 13",
+    "verify_fixed-orbits_n7_r5.plain": "verify --suite fixed-orbits --n 7 --r 5",
     "verify_fixed-orbits_n7_r11.plain": "verify --suite fixed-orbits --n 7 --r 11",
     "verify_fixed-orbits_n7_r11.json": "verify --suite fixed-orbits --n 7 --r 11 --format json",
     "verify_fixed-orbits_n7_r13.plain": "verify --suite fixed-orbits --n 7 --r 13",

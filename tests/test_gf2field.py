@@ -163,14 +163,15 @@ class TestProductRows:
         for a, row in enumerate(gf.rows):
             assert row == [gf._mul_raw(a, b) for b in range(gf.order)]
 
-    @pytest.mark.parametrize("m", [9, 12, 17])
+    @pytest.mark.parametrize("m", range(9, 18))
     def test_computed_rows_sampled(self, m, rng):
-        # m = 9 and 12 multiply through exp/log, m = 17 through _mul_raw
+        # m = 9 to 16 multiply through exp/log, zero rows and columns aside; m = 17 through _mul_raw
         gf = make_field(m)
         pairs = [(a, b) for a in range(16) for b in range(16)]
         pairs += [(rng.randrange(gf.order), rng.randrange(gf.order)) for _ in range(300)]
         for a, b in pairs:
             assert gf.rows[a][b] == gf._mul_raw(a, b)
+            assert gf.rows[0][b] == gf.rows[a][0] == 0
 
     @pytest.mark.parametrize("m", [9, 10, 16, 17, 64])
     def test_no_list_table_above_m8(self, m):
