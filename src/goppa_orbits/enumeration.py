@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import intnt
-from .action import _element_orbit, orbit_canonical, pgl_orbits
+from .action import _element_orbit, pgl_orbits
 from .errors import GuardError
 from .gf2field import GF2m, make_tower
 from .polyq import Parameters, Poly, count_divisor_polys_mobius, count_irreducibles, poly_frobenius
@@ -111,8 +111,9 @@ def brute_force_orbit_count(
     degree r, seeds in integer order).  sigma normalizes PGL, so
     sigma^i maps PGL(x) onto PGL(sigma^i x), and a PGammaL orbit is the
     union of those PGL orbits over the twists i < rn.  On polynomials
-    sigma^n fixes every coefficient, so i < n suffice, and each twisted
-    orbit is named by its canonical form.  Tests compare both domains
+    sigma^n fixes every coefficient, so i < n suffice: a walked orbit is
+    a twist of a counted one exactly when it holds sigma^i of that
+    orbit's canonical form, 0 < i < n.  Tests compare both domains
     against the walk that applies every group element to each seed.
     """
     if r < 2:
@@ -125,9 +126,9 @@ def brute_force_orbit_count(
     if domain == "polynomials":
         twisted: set[Poly] = set()
         for orbit in pgl_orbits(gf, r):
-            if orbit.canonical not in twisted:
+            if twisted.isdisjoint(orbit.members):
                 count += 1
-                twisted.update(orbit_canonical(gf, poly_frobenius(gf, orbit.canonical, i)) for i in twists[1:n])
+                twisted.update(poly_frobenius(gf, orbit.canonical, i) for i in twists[1:n])
         return count
     if domain == "elements":
         if gf.m * r > 16:

@@ -349,13 +349,11 @@ class Tower:
         self.root = root
         if _eval_gf2poly(ext, base.modulus, root) != 0:
             raise ValueError("root does not satisfy the base modulus")
-        embedded = [0]
-        power = 1
-        for _ in range(base.m):
-            embedded += [e ^ power for e in embedded]
-            power = ext.mul(power, root)
-        self.embedded = tuple(embedded)
-        self._preimage = {y: a for a, y in enumerate(embedded)}
+        powers = [1]
+        for _ in range(base.m - 1):
+            powers.append(ext.mul(powers[-1], root))
+        self.embedded = tuple(gf2_span(powers))
+        self._preimage = {y: a for a, y in enumerate(self.embedded)}
 
     def __repr__(self) -> str:
         return f"Tower(GF(2^{self.n}) < GF(2^{self.ext.m}))"
@@ -376,16 +374,19 @@ class Tower:
         """alpha^q, the base-field Frobenius."""
         return self.ext.frobenius(alpha, self.n)
 
+    def _conjugates(self, alpha: int) -> list[int]:
+        """alpha, alpha^q, alpha^(q^2), ... up to the first repeat: degree_over(alpha) of them."""
+        conjugates, beta = [alpha], self.frob_q(alpha)
+        while beta != alpha:
+            if len(conjugates) == self.r:
+                raise AssertionError("degree did not divide r; tower is inconsistent")
+            conjugates.append(beta)
+            beta = self.frob_q(beta)
+        return conjugates
+
     def degree_over(self, alpha: int) -> int:
         """Smallest d >= 1 with alpha^(q^d) = alpha; always divides r."""
-        beta = self.frob_q(alpha)
-        d = 1
-        while beta != alpha:
-            beta = self.frob_q(beta)
-            d += 1
-            if d > self.r:
-                raise AssertionError("degree did not divide r; tower is inconsistent")
-        return d
+        return len(self._conjugates(alpha))
 
     def minimal_polynomial(self, alpha: int) -> tuple[int, ...]:
         """Monic minimal polynomial of alpha over GF(q).
@@ -393,14 +394,8 @@ class Tower:
         Returned as base-field coefficients, lowest degree first; its
         degree is degree_over(alpha).
         """
-        self.ext._check(alpha)
-        conjugates = [alpha]
-        beta = self.frob_q(alpha)
-        while beta != alpha:
-            conjugates.append(beta)
-            beta = self.frob_q(beta)
         poly = [1]
-        for c in conjugates:
+        for c in self._conjugates(alpha):
             # multiply by (x + c): zip pairs p_i with p_(i-1)
             rc = self.ext.rows[c]
             poly = [rc[s] ^ t for s, t in zip(poly + [0], [0] + poly)]
@@ -433,6 +428,14 @@ def gf2_kernel(images: list[int]) -> list[int]:
     return kernel
 
 
+def gf2_span(basis: list[int], start: int = 0) -> list[int]:
+    """Every start XOR a sum of basis vectors: entry k XORs start with basis[i] over the set bits i of k."""
+    span = [start]
+    for v in basis:
+        span += [e ^ v for e in span]
+    return span
+
+
 def subfield_elements(ext: GF2m, d: int) -> list[int]:
     """All elements of GF(2^d) inside GF(2^m): the roots of x^(2^d) + x.
 
@@ -447,10 +450,7 @@ def subfield_elements(ext: GF2m, d: int) -> list[int]:
     basis = gf2_kernel([ext.frobenius(1 << i, d) ^ (1 << i) for i in range(nm)])
     if len(basis) != d:
         raise AssertionError("subfield dimension mismatch")
-    elems = [0]
-    for b in basis:
-        elems += [e ^ b for e in elems]
-    return sorted(elems)
+    return sorted(gf2_span(basis))
 
 
 def _eval_gf2poly(gf: GF2m, poly: int, at: int) -> int:

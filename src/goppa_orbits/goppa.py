@@ -92,7 +92,7 @@ def check_length(n: int) -> None:
     """Refuse base degree n > 10 (length q = 2^n over the 2^10 guard) without building q."""
     if n > _LENGTH_DEGREE:
         length = 1 << n if n <= MAX_DEGREE else f"2^n with n = {n}"
-        raise GuardError(f"code length {length} exceeds the 2^10 guard")
+        raise GuardError(f"code length {length} exceeds the 2^{_LENGTH_DEGREE} guard")
 
 
 def build_goppa(spec: GoppaSpec) -> BinaryCode:
@@ -156,7 +156,7 @@ def extend_code(code: BinaryCode) -> BinaryCode:
 def weight_enumerator(code: BinaryCode) -> list[int]:
     """Exact codeword weight histogram, indexed 0..length."""
     if code.dimension > _WEIGHT_ENUM_DIM_GUARD:
-        raise GuardError(f"weight enumeration guard: dimension {code.dimension} exceeds 24")
+        raise GuardError(f"weight enumeration guard: dimension {code.dimension} exceeds {_WEIGHT_ENUM_DIM_GUARD}")
     hist = [0] * (code.length + 1)
     for word in code.codewords():
         hist[word.bit_count()] += 1
@@ -187,7 +187,7 @@ def permutation_equivalent(first: BinaryCode, second: BinaryCode) -> bool:
     if first.length != second.length or first.dimension != second.dimension:
         return False
     if first.length > _PERM_SEARCH_LENGTH_GUARD:
-        raise GuardError(f"permutation search guard: length {first.length} exceeds 9")
+        raise GuardError(f"permutation search guard: length {first.length} exceeds {_PERM_SEARCH_LENGTH_GUARD}")
     if weight_enumerator(first) != weight_enumerator(second):
         return False
     words1 = list(first.codewords())

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .errors import GuardError, HypothesisError, InternalCheckError, require_positive
-from .gf2field import GF2m, Tower, clmul, elem_to_bits, gf2_mod, make_field, subfield_elements
+from .gf2field import GF2m, Tower, clmul, elem_to_bits, gf2_mod, gf2_span, make_field, subfield_elements
 from . import intnt
 
 Poly = tuple[int, ...]
@@ -248,13 +248,8 @@ def enumerate_irreducibles(gf: GF2m, r: int):
             basis = [v << (m * j) for j in range(r - d) for v in scaled]
             # a*x^(r-d) without its x^r; the span splits in two, so
             # neither list outgrows 2^12 entries
-            low = [(scaled[0] << (m * (r - d))) ^ total]
-            for v in basis[:12]:
-                low += [s ^ v for s in low]
-            high = [0]
-            for v in basis[12:]:
-                high += [s ^ v for s in high]
-            for h in high:
+            low = gf2_span(basis[:12], (scaled[0] << (m * (r - d))) ^ total)
+            for h in gf2_span(basis[12:]):
                 for idx in low:
                     marked[idx ^ h] = 1
     idx = marked.find(0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from goppa_orbits import action
 from goppa_orbits.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,3 +60,17 @@ def test_stdout_matches_golden(capsys, name):
 
 def test_every_golden_file_is_checked():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", ["verify_bijection_n2_r5.plain", "verify_bijection_n2_r5.json", "orbits_q8_r5.plain"])
+def test_orbit_walks_need_no_sweep(monkeypatch, capsys, name):
+    """The bijection suite and `orbits` print their bytes from materialized orbits alone:
+    a Frobenius twist is named by membership, never by a canonical-form sweep."""
+
+    def refuse(*args):
+        raise AssertionError("a coset sweep ran")
+
+    monkeypatch.setattr(action, "_sweep", refuse)
+    monkeypatch.setattr(action, "_reaches", refuse)
+    assert main(CASES[name].split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode("utf-8")

@@ -13,6 +13,7 @@ from goppa_orbits.gf2field import (
     Tower,
     elem_to_bits,
     gf2_kernel,
+    gf2_span,
     make_field,
     make_tower,
     modulus_from_text,
@@ -236,6 +237,17 @@ def _image_of(images, v):
         if v >> i & 1:
             image ^= a
     return image
+
+
+class TestGf2Span:
+    @pytest.mark.parametrize("start", [None, 0b1011_0110_1001])
+    def test_entry_k_xors_the_basis_at_the_bits_of_k(self, rng, start):
+        for size in range(7):
+            basis = [rng.getrandbits(12) for _ in range(size)]
+            span = gf2_span(basis) if start is None else gf2_span(basis, start)
+            assert len(span) == 1 << size
+            for k, entry in enumerate(span):
+                assert entry == _image_of(basis, k) ^ (start or 0)
 
 
 class TestGf2Kernel:
