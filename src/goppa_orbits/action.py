@@ -40,6 +40,7 @@ from .gf2field import _TABLE_DEGREE, GF2m, Tower, make_field
 from .polyq import (
     Parameters,
     Poly,
+    count_irreducibles,
     divisor_polynomials,
     enumerate_irreducibles,
     is_irreducible,
@@ -398,9 +399,10 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     v = h_(r-1) / h_r clears x^(r-1) (r = 1 in characteristic 2), and the
     least member has that coefficient zero; for even r, c_(r-1) = h_(r-1)
     whatever v is, so every v is tried.  A candidate is compared with the
-    least so far from x^(r-1) down, computing each c_j only when reached;
-    only a new least is built in full.  The hits are the group elements
-    sending f to the least member, so there are |Stab(f)| of them.  Per
+    least so far from x^(r-1) down (x^(r-2) at odd r, as v cleared
+    x^(r-1)), computing each c_j only when reached; only a new least is
+    built in full.  The hits are the group elements sending f to the
+    least member, so there are |Stab(f)| of them.  Per
     seed: q Taylor shifts to build the representatives, then q + 1
     candidates at odd r and q(q + 1) at even r, most refused within the
     first two or three coefficients.
@@ -415,7 +417,7 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
         lead = log[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
-            pw, top, below = powers[v], r - 1, False
+            pw, top, below = powers[v], r - 1 - r % 2, False
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             while True:
                 ct = h[top]
@@ -473,7 +475,7 @@ def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
         lead = log[h[r]]
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
             pw = powers[v]
-            for i in range(r - 1, t - 1, -1):
+            for i in range(r - 1 - r % 2, t - 1, -1):
                 ci = h[i]
                 for j, d in terms[i]:
                     ci ^= pw[d][h[j]]
@@ -515,15 +517,21 @@ def pgl_orbit(gf: GF2m, f: Poly) -> Orbit:
 def pgl_orbits(gf: GF2m, r: int):
     """Yield each PGL orbit on I_r once, seeded from `enumerate_irreducibles` (no seed re-tested).
 
-    The group-size guard is checked before the sieve runs.
+    The group-size guard is checked before the sieve runs; the walk ends
+    once its orbits cover all |I_r| irreducibles, counted after the sieve
+    admits r.
     """
     _check_pgl_guard(gf.order)
     seen: set[Poly] = set()
+    total = 0
     for f in enumerate_irreducibles(gf, r):
+        total = total or count_irreducibles(gf.order, r)
         if f not in seen:
             orbit = Orbit(_pgl_orbit_members(gf, f))
             seen.update(orbit.members)
             yield orbit
+            if len(seen) == total:
+                return
 
 
 def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
@@ -573,11 +581,11 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     seed while it stays in the one-entry memo of `_irreducible_seed`, so
     asking both methods tests f once; a reducible seed is refused on every call.
     """
-    gf = make_field(params.n)
+    gf, f = make_field(params.n), tuple(f)
     _check_sweep_guard(gf, params.r)
     if len(f) - 1 != params.r:
         raise ValueError(f"expected degree r={params.r}, got {len(f) - 1}")
-    if not _irreducible_seed(gf, tuple(f)):
+    if not _irreducible_seed(gf, f):
         raise ValueError("fixed-orbit test needs an irreducible seed")
     if method == "divisibility":
         common = gcd(params.r, params.n)
@@ -585,7 +593,7 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
             raise ValueError(f"the divisibility method needs gcd(r, n) = 1, got gcd({params.r}, {params.n}) = {common}")
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
-        return _reaches(gf, tuple(f), poly_frobenius(gf, orbit_canonical(gf, f), params.r))
+        return _reaches(gf, f, poly_frobenius(gf, orbit_canonical(gf, f), params.r))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -113,8 +113,10 @@ def brute_force_orbit_count(
     union of those PGL orbits over the twists i < rn.  On polynomials
     sigma^n fixes every coefficient, so i < n suffice: a walked orbit is
     a twist of a counted one exactly when it holds sigma^i of that
-    orbit's canonical form, 0 < i < n.  Tests compare both domains
-    against the walk that applies every group element to each seed.
+    orbit's canonical form, 0 < i < n.  Either walk stops once its orbits
+    cover the domain: |I_r| polynomials, r |I_r| elements.  Tests compare
+    both domains against the walk that applies every group element to
+    each seed.
     """
     if r < 2:
         raise ValueError(f"PGL orbits need degree r >= 2, got r = {r}")
@@ -136,6 +138,7 @@ def brute_force_orbit_count(
         tower = make_tower(n, r)
         ext = tower.ext
         seen: set[int] = set()
+        total = r * count_irreducibles(gf.order, r)
         for alpha in range(ext.order):
             if alpha in seen or tower.degree_over(alpha) != r:
                 continue
@@ -145,5 +148,7 @@ def brute_force_orbit_count(
                 beta = ext.frobenius(alpha, i)
                 if beta not in seen:
                     seen |= _element_orbit(tower, beta, r)
+            if len(seen) == total:
+                break
         return count
     raise ValueError(f"unknown domain {domain!r}")

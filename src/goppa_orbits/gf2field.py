@@ -264,7 +264,9 @@ class GF2m:
         return self._frobenius(a, k)
 
     def _frobenius(self, a: int, k: int) -> int:
-        if a and self._exp is not None:
+        if not a:
+            return 0
+        if self._exp is not None:
             # log a^(2^k) = 2^(k mod m) log a (mod s): one table read, like inv
             return self._exp[(self._log[a] << k % self.m) % self.mult_order]
         for _ in range(k % self.m):

@@ -145,11 +145,16 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
     """Irreducibility over GF(q) by Ben-Or's test.
 
     f of degree r is irreducible iff gcd(x^(q^k) - x mod f, f) = 1 for
-    every k = 1 .. r // 2; the loop stops at the first nontrivial gcd.
-    f is checked once here and made monic.  x^k mod f, k = r .. 2r - 1, is
-    built once by shift-and-fold; a square mod f reads its even powers as
-    product rows, so it divides nothing.  The first round starts from the
-    largest x^(2^j) with 2^j <= min(q, 2r - 1), so it squares nothing when
+    every k = 1 .. h, h = r // 2.  x^(q^k) is advanced for every k, but
+    the gcd runs only for k in (h/2, h]: a factor of degree d <= h has
+    roots in GF(q^k) for the multiple k = d * (h // d), which lies there
+    as d * (h // d) > h - d >= h/2.  So an irreducible f, the input of
+    every product caller, costs ceil(h/2) gcds, and a reducible one may
+    be refused a round later.  f is checked once here; only a non-monic
+    f is rescaled.  x^k mod f, k = r .. 2r - 2, is built once by
+    shift-and-fold; a square mod f reads its even powers as product rows,
+    so it divides nothing.  The first round starts from the largest
+    x^(2^j) with 2^j <= min(q, 2r - 1), so it squares nothing when
     q <= 2r - 1.  The gcds run on lists in place, inverting by table.
     """
     r = poly_degree(f)
@@ -159,19 +164,19 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
     if not f[r]:
         raise ValueError(f"zero leading coefficient f[{r}]: a polynomial tuple has no trailing zeros")
     rows, inverse = gf.rows, gf._inverse
-    low = [rows[inverse(f[r])][a] for a in f[:r]]
+    low = list(f[:r]) if f[r] == 1 else [rows[inverse(f[r])][a] for a in f[:r]]
     # powers[i] = x^(r+i) mod f: x^r = low in characteristic 2, and x^(k+1)
     # shifts x^k and folds its top back; squarings fold through the even ones.
     powers = [low]
-    for _ in range(r - 1):
+    for _ in range(r - 2):
         rt = rows[powers[-1][-1]]
         powers.append([a ^ rt[b] for a, b in zip([0] + powers[-1][:-1], low)])
-    folds = [[rows[a] for a in power] for power in powers[r & 1 : r - 1 : 2]]
+    folds = [[rows[a] for a in power] for power in powers[r & 1 :: 2]]
     # x^e, e = 2^j: a monomial below x^r, else read from powers
     e = 1 << min(gf.m, (2 * r - 1).bit_length() - 1)
     t = powers[e - r] if e >= r else [0] * e + [1] + [0] * (r - e - 1)
-    half, squarings = (r + 1) // 2, gf.m + 1 - e.bit_length()
-    for _ in range(r // 2):
+    h, half, squarings = r // 2, (r + 1) // 2, gf.m + 1 - e.bit_length()
+    for k in range(1, h + 1):
         for _ in range(squarings):
             sq = [rows[a][a] for a in t]
             t = [0] * r
@@ -180,6 +185,8 @@ def is_irreducible(gf: GF2m, f: Poly) -> bool:
                 if a:
                     t = [b ^ row[a] for b, row in zip(t, fold)]
         squarings = gf.m
+        if 2 * k <= h:
+            continue
         # gcd(t - x, f) by Euclid on lists; u runs from f, w from t - x.
         u, w = low + [1], t[:]
         w[1] ^= 1

@@ -379,6 +379,30 @@ class TestOrbitsAndStabilizers:
         with pytest.raises(GuardError):
             next(pgl_orbits(gf32, 7))
 
+    @pytest.mark.parametrize("m, r", [(1, 5), (2, 5), (3, 5), (2, 6)])
+    def test_pgl_orbits_stop_at_coverage(self, m, r, monkeypatch):
+        # once the orbits cover I_r, the walk pulls no other sieve entry: the
+        # last entry pulled seeds the last orbit (irreducible #12 of 6552 at (3, 5))
+        gf, pulled = make_field(m), []
+
+        def recording(gf, r):
+            for f in enumerate_irreducibles(gf, r):
+                pulled.append(f)
+                yield f
+
+        monkeypatch.setattr(action, "enumerate_irreducibles", recording)
+        orbits = list(pgl_orbits(gf, r))
+        assert sum(orbit.size for orbit in orbits) == count_irreducibles(gf.order, r)
+        assert [f for f in pulled if f in orbits[-1]] == [pulled[-1]]
+        assert len(pulled) < count_irreducibles(gf.order, r)
+
+    def test_pgl_orbits_keep_the_sieve_messages(self, gf2, gf8):
+        # |I_r| is counted only after the sieve admits r, so its refusals come first
+        with pytest.raises(ValueError, match=r"^irreducible enumeration needs degree r >= 1, got r = 0$"):
+            next(pgl_orbits(gf2, 0))
+        with pytest.raises(GuardError, match=r"^enumeration of q\^r = 8\^7 = 2\^21 candidates exceeds the 2\^20 guard$"):
+            next(pgl_orbits(gf8, 7))
+
     def test_stabilizer_trivial_sampled(self, gf8, rng):
         for _ in range(5):
             f = random_irreducible(gf8, 5, rng)
@@ -435,14 +459,11 @@ class TestCanonicalSweep:
     )
     def test_every_irreducible_matches_its_materialized_orbit(self, m, r):
         gf = make_field(m)
-        total, covered = count_irreducibles(gf.order, r), 0
-        # the orbits cover I_r, so the enumeration stops once they add up to |I_r|
+        covered = 0
         for orbit in pgl_orbits(gf, r):
             self._check_orbit_members(gf, orbit, orbit.members)
             covered += orbit.size
-            if covered == total:
-                break
-        assert covered == total
+        assert covered == count_irreducibles(gf.order, r)
 
     def test_sampled_seeds_over_gf32(self, gf32, rng):
         for _ in range(3):

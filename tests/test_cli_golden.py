@@ -35,6 +35,7 @@ CASES = {
     "verify_fixed-orbits_n13_r7.plain": "verify --suite fixed-orbits --n 13 --r 7",
     "verify_bijection_n2_r5.plain": "verify --suite bijection --n 2 --r 5",
     "verify_bijection_n2_r5.json": "verify --suite bijection --n 2 --r 5 --format json",
+    "verify_bijection_n3_r5.plain": "verify --suite bijection --n 3 --r 5",
     "orbits_q8_r5.plain": "orbits --q 8 --r 5",
     "orbits_q8_r5.csv": "orbits --q 8 --r 5 --format csv",
     "orbits_q4_r3_members.json": "orbits --q 4 --r 3 --format json --members",

@@ -305,6 +305,25 @@ class TestBruteForce:
         assert brute_force_orbit_count(gf, r, "PGammaL", "elements") == expected
         assert max(calls.values()) == 1
 
+    @pytest.mark.parametrize("m, r", [(2, 4), (2, 5), (3, 5), (1, 9)])
+    def test_element_walk_stops_at_coverage(self, m, r, monkeypatch):
+        # once the orbits hold all r |I_r| elements of degree r, no other alpha is
+        # tested: the last one tested seeded the last orbit, where a full walk
+        # would end on an element of lower degree
+        gf, tested, real = make_field(m), [], Tower.degree_over
+
+        def recording(tower, alpha):
+            tested.append(alpha)
+            return real(tower, alpha)
+
+        monkeypatch.setattr(Tower, "degree_over", recording)
+        for group in ("PGL", "PGammaL"):
+            tested.clear()
+            count = brute_force_orbit_count(gf, r, group, "elements")
+            if group == "PGammaL":
+                assert count == brute_force_orbit_count(gf, r, group, "polynomials")
+            assert real(make_tower(m, r), tested[-1]) == r
+
     def test_linear_degree_rejected(self, gf8):
         for domain in ("polynomials", "elements"):
             with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):

@@ -21,7 +21,7 @@ from goppa_orbits.gf2field import (
     smallest_irreducible,
     subfield_elements,
 )
-from goppa_orbits.polyq import divisor_polynomials_by_minpoly
+from goppa_orbits.polyq import divisor_polynomials_by_minpoly, poly_frobenius
 
 
 # -- oracle: GF(2)[x] trial division on bit-packed ints ---------------------
@@ -214,6 +214,18 @@ class TestFrobeniusAndTrace:
             for _ in range(k % m):
                 b = gf.square(b)
             assert gf.frobenius(a, k) == b
+
+    def test_frobenius_of_zero_multiplies_nothing(self, monkeypatch):
+        # zero is fixed at once, with or without log tables
+        def refuse(a, b):
+            raise AssertionError("_mul_raw called")
+
+        gf8, gf17 = make_field(3), make_field(17)
+        monkeypatch.setattr(gf8, "_mul_raw", refuse)
+        monkeypatch.setattr(gf17, "_mul_raw", refuse)
+        f = (0, 3, 0, 0, 5, 1)
+        assert poly_frobenius(gf8, f, 2) == tuple(gf8.square(gf8.square(a)) for a in f) == (0, 7, 0, 0, 3, 1)
+        assert all(gf17.frobenius(0, k) == 0 for k in range(-17, 35))
 
     @pytest.mark.parametrize("n,r", [(3, 5), (3, 7), (5, 7), (5, 9)])
     def test_trace_image_identity(self, n, r):

@@ -18,6 +18,7 @@ enumeration is compared with Ben-Or's filter wherever it is small enough.
 """
 
 import math
+import random
 import time
 from collections import Counter
 from itertools import zip_longest
@@ -193,13 +194,44 @@ class TestIrreducibility:
             g = tuple(rng.randrange(gf.order) for _ in range(rng.choice((2, 3)))) + (1,)
             assert not is_irreducible(gf, poly_mul(gf, f, g))
 
+    # (r, factor degrees, the k of Ben-Or's gcd rounds (r//2/2, r//2] that see a factor)
+    GCD_SCHEDULE = [
+        (4, (1, 3), {2}),
+        (5, (1, 4), {2}),
+        (7, (2, 5), {2}),
+        (8, (4, 4), {4}),
+        (8, (1, 7), {3, 4}),
+        (8, (2, 6), {4}),
+        (8, (3, 5), {3}),
+        (9, (4, 5), {4}),
+    ]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "r, degrees, rounds", GCD_SCHEDULE, ids=[f"r{r}-{a}x{b}" for r, (a, b), _ in GCD_SCHEDULE]
+    )
+    def test_gcd_schedule_refuses_every_product(self, m, r, degrees, rounds):
+        # each product is seen only at the listed rounds: dropping k = r//2, or
+        # keeping it alone, lets some of them through.  The factors come from
+        # the sieve, so a broken Ben-Or cannot pick them.
+        gf, rnd = make_field(m), random.Random(r * 10 + m)
+        h = r // 2
+        assert {k for k in range(h // 2 + 1, h + 1) if any(k % d == 0 for d in degrees)} == rounds
+        pools = {d: list(enumerate_irreducibles(gf, d)) for d in set(degrees)}
+        for _ in range(4):
+            if degrees[0] == degrees[1]:
+                a, b = rnd.sample(pools[degrees[0]], 2)
+            else:
+                a, b = (rnd.choice(pools[d]) for d in degrees)
+            assert not is_irreducible(gf, poly_mul(gf, a, b))
+
     def test_zero_leading_coefficient_is_named(self, gf8):
         for f in ((1, 0), (1, 1, 0), (1, 1, 0, 0, 0, 0, 0, 0)):
             with pytest.raises(ValueError, match=rf"zero leading coefficient f\[{len(f) - 1}\]"):
                 is_irreducible(gf8, f)
 
     def test_scaling_keeps_the_verdict(self, gf8):
-        # f is made monic first; every c f must get f's verdict
+        # a non-monic f is rescaled first; every c f must get f's verdict
         for f in _all_monic(gf8, 4):
             verdict = is_irreducible(gf8, f)
             assert all(is_irreducible(gf8, tuple(gf8.mul(c, a) for a in f)) == verdict for c in range(2, 8))
