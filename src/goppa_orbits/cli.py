@@ -15,8 +15,8 @@ empty and the message goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import enumeration
 from .action import IDENTITY, fixed_orbit_classes, pgl2_binary_subgroup, pgl_orbits, stabilizer
@@ -34,54 +34,6 @@ from .gf2field import (
 from .polyq import Parameters, e_set_count, poly_to_bits, poly_to_text
 
 CSV_HEADER = "n,r,q,fixed_orbits,pgl_orbits,bound"
-COMMANDS = ("bound", "table", "verify", "orbits", "goppa", "field-info")
-
-
-def _help_width() -> int:
-    """shutil.get_terminal_size().columns - 2, argparse's default width, without importing shutil.
-
-    argparse builds a HelpFormatter for every add_argument, and each one
-    imports shutil for this number; the first import also loads bz2,
-    lzma, zlib and fnmatch, which no command needs.
-    """
-    import os
-
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns or 80) - 2
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    def __init__(self, prog, **kwargs):
-        super().__init__(prog, width=_help_width(), **kwargs)
-
-
-class _Parser(argparse.ArgumentParser):
-    # Subparsers are built with type(self), so they get this formatter too.
-    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
-        super().__init__(*args, formatter_class=formatter_class, **kwargs)
-
-    # argparse exits 2 on usage errors by default; 2 is reserved here for
-    # internal assertion failures, so remap usage problems to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-class _NonNegative(argparse.Action):
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
-        setattr(namespace, self.dest, value)
-
 
 def _report_row(rep: BoundReport) -> str:
     p = rep.params
@@ -320,7 +272,17 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers such as 5,7,11, got {text!r}")
+        raise ValueError(f"expected comma-separated integers such as 5,7,11, got {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None  # argparse's wording for type=int
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def _alpha(text: str) -> int | None:
@@ -330,92 +292,120 @@ def _alpha(text: str) -> int | None:
     try:
         return int(text, 16)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a hex field element such as 1f, or 'min', got {text!r}")
+        raise ValueError(f"expected a hex field element such as 1f, or 'min', got {text!r}") from None
 
 
 def _modulus(text: str) -> int:
     try:
         return modulus_from_text(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected a binary polynomial such as x^3+x+1 or LSB-first bits such as 1101, got {text!r}"
-        )
+        ) from None
 
 
-def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
-    """The parser with the named subcommands, all of COMMANDS by default.
+# command -> (help, function, options), each option with its add_argument keywords, in help order.
+_INT = {"type": int, "required": True}
+_FORMAT = {"choices": ("plain", "json", "csv"), "default": "plain"}
+_NO_CSV = {"choices": ("plain", "json"), "default": "plain"}
+_MAX_DOMAIN_BITS = {"type": _non_negative, "default": None,
+                    "help": "lower the enumeration guard (never raises the built-in ceiling)"}
+COMMANDS = {
+    "bound": ("exact inequivalent-code upper bound for one (n, r)", _cmd_bound,
+              {"--n": _INT, "--r": _INT, "--format": _FORMAT}),
+    "table": ("bounds for one n and a list of degrees", _cmd_table,
+              {"--n": _INT, "--r": {"dest": "r_list", "type": _int_list, "required": True}, "--format": _FORMAT}),
+    "verify": ("brute-force verification suites", _cmd_verify,
+               {"--suite": {"choices": ("fixed-orbits", "bijection"), "required": True}, "--n": _INT, "--r": _INT,
+                "--max-domain-bits": _MAX_DOMAIN_BITS, "--format": _NO_CSV}),
+    "orbits": ("dump all PGL orbits of degree-r irreducibles", _cmd_orbits,
+               {"--q": _INT, "--r": _INT,
+                "--members": {"action": "store_true", "default": False, "help": "include full member lists (json)"},
+                "--max-domain-bits": _MAX_DOMAIN_BITS, "--format": _FORMAT}),
+    "goppa": ("build one extended code and report it", _cmd_goppa,
+              {"--n": _INT, "--r": _INT, "--alpha": {"type": _alpha, "required": True,
+                                                     "help": "hex representation of the defining element, or 'min'"},
+               "--format": _NO_CSV}),
+    "field-info": ("describe GF(2^m) and its modulus", _cmd_field_info,
+                   {"--m": _INT, "--modulus": {"type": _modulus, "default": None,
+                                               "help": "override modulus: 'x^3+x+1' or LSB-first bits '1101'"},
+                    "--format": _NO_CSV}),
+}
 
-    With fewer, the usage line still lists all of COMMANDS, so a usage
-    error reads the same as from the full parser.  The full parser keeps
-    argparse's own wording for a missing or unknown subcommand.
-    """
-    parser = _Parser(prog="goppa-orbits", description=__doc__.split("\n\n")[0])
-    metavar = None if tuple(commands) == COMMANDS else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
-    def add_format(p, csv=True):
-        choices = ("plain", "json", "csv") if csv else ("plain", "json")
-        p.add_argument("--format", choices=choices, default="plain")
+def build_parser():
+    """argparse over COMMANDS: main's parser for every line _parse_plain declines, and its oracle."""
+    import argparse
 
-    def add_max_domain_bits(p):
-        p.add_argument("--max-domain-bits", type=int, default=None, action=_NonNegative,
-                       help="lower the enumeration guard (never raises the built-in ceiling)")
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default; 2 is reserved here for
+        # internal assertion failures, so remap usage problems to 1.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
 
-    if "bound" in commands:
-        p = sub.add_parser("bound", help="exact inequivalent-code upper bound for one (n, r)")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        add_format(p)
-        p.set_defaults(func=_cmd_bound)
+    def checked(convert):
+        # argparse prints an ArgumentTypeError's own message; a plain int keeps argparse's wording
+        def call(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return call
 
-    if "table" in commands:
-        p = sub.add_parser("table", help="bounds for one n and a list of degrees")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", dest="r_list", type=_int_list, required=True)
-        add_format(p)
-        p.set_defaults(func=_cmd_table)
-
-    if "verify" in commands:
-        p = sub.add_parser("verify", help="brute-force verification suites")
-        p.add_argument("--suite", choices=("fixed-orbits", "bijection"), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        add_max_domain_bits(p)
-        add_format(p, csv=False)
-        p.set_defaults(func=_cmd_verify)
-
-    if "orbits" in commands:
-        p = sub.add_parser("orbits", help="dump all PGL orbits of degree-r irreducibles")
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--members", action="store_true", help="include full member lists (json)")
-        add_max_domain_bits(p)
-        add_format(p)
-        p.set_defaults(func=_cmd_orbits)
-
-    if "goppa" in commands:
-        p = sub.add_parser("goppa", help="build one extended code and report it")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--alpha", type=_alpha, required=True,
-                       help="hex representation of the defining element, or 'min'")
-        add_format(p, csv=False)
-        p.set_defaults(func=_cmd_goppa)
-
-    if "field-info" in commands:
-        p = sub.add_parser("field-info", help="describe GF(2^m) and its modulus")
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--modulus", type=_modulus, default=None, help="override modulus: 'x^3+x+1' or LSB-first bits '1101'")
-        add_format(p, csv=False)
-        p.set_defaults(func=_cmd_field_info)
-
+    parser = Parser(prog="goppa-orbits", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            if spec.get("type", int) is not int:
+                spec = dict(spec, type=checked(spec["type"]))
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, for a plain command line; None for any other.
+
+    A plain line is a command, then each of its options at most once,
+    spelled in full, with its value in the next token unless it is a flag;
+    no value starts with '-', each converts and is among the option's
+    choices, and every required option is given.  argparse answers
+    every other line, so help and usage errors are its own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is argparse's to report
+        if text.startswith("-"):
+            return None
+        try:
+            given[flag] = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and given[flag] not in spec["choices"]:
+            return None
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    values = {spec.get("dest", flag[2:].replace("-", "_")): given.get(flag, spec.get("default"))
+              for flag, spec in options.items()}
+    return SimpleNamespace(subcommand=argv[0], func=func, **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Build only the invoked subcommand's parser; anything else gets all of them.
-    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     # Exact output has no size limit: lift Python's int-to-str digit cap
     # (3.11+) while the command runs, and restore it for in-process callers.
     saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None

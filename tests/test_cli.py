@@ -3,7 +3,6 @@
 import contextlib
 import json
 import re
-import shutil
 import sys
 import time
 
@@ -428,6 +427,62 @@ _OPTION_CASES = [
 ]
 
 
+# The whole last stderr line of each row that argparse refuses; the command
+# itself refuses every other row.
+_USAGE_ERRORS = {
+    ("bound", "--n", "empty"): "goppa-orbits bound: error: argument --n: invalid int value: ''",
+    ("bound", "--n", "non-numeric"): "goppa-orbits bound: error: argument --n: invalid int value: 'xyz'",
+    ("bound", "--r", "empty"): "goppa-orbits bound: error: argument --r: invalid int value: ''",
+    ("bound", "--r", "non-numeric"): "goppa-orbits bound: error: argument --r: invalid int value: 'xyz'",
+    ("table", "--n", "empty"): "goppa-orbits table: error: argument --n: invalid int value: ''",
+    ("table", "--n", "non-numeric"): "goppa-orbits table: error: argument --n: invalid int value: 'xyz'",
+    ("fixed-orbits", "--n", "empty"): "goppa-orbits verify: error: argument --n: invalid int value: ''",
+    ("fixed-orbits", "--n", "non-numeric"): "goppa-orbits verify: error: argument --n: invalid int value: 'xyz'",
+    ("fixed-orbits", "--r", "empty"): "goppa-orbits verify: error: argument --r: invalid int value: ''",
+    ("fixed-orbits", "--r", "non-numeric"): "goppa-orbits verify: error: argument --r: invalid int value: 'xyz'",
+    ("bijection", "--n", "empty"): "goppa-orbits verify: error: argument --n: invalid int value: ''",
+    ("bijection", "--n", "non-numeric"): "goppa-orbits verify: error: argument --n: invalid int value: 'xyz'",
+    ("bijection", "--r", "empty"): "goppa-orbits verify: error: argument --r: invalid int value: ''",
+    ("bijection", "--r", "non-numeric"): "goppa-orbits verify: error: argument --r: invalid int value: 'xyz'",
+    ("orbits", "--q", "empty"): "goppa-orbits orbits: error: argument --q: invalid int value: ''",
+    ("orbits", "--q", "non-numeric"): "goppa-orbits orbits: error: argument --q: invalid int value: 'xyz'",
+    ("orbits", "--r", "empty"): "goppa-orbits orbits: error: argument --r: invalid int value: ''",
+    ("orbits", "--r", "non-numeric"): "goppa-orbits orbits: error: argument --r: invalid int value: 'xyz'",
+    ("goppa", "--n", "empty"): "goppa-orbits goppa: error: argument --n: invalid int value: ''",
+    ("goppa", "--n", "non-numeric"): "goppa-orbits goppa: error: argument --n: invalid int value: 'xyz'",
+    ("goppa", "--r", "empty"): "goppa-orbits goppa: error: argument --r: invalid int value: ''",
+    ("goppa", "--r", "non-numeric"): "goppa-orbits goppa: error: argument --r: invalid int value: 'xyz'",
+    ("goppa", "--alpha", "empty"):
+        "goppa-orbits goppa: error: argument --alpha: expected a hex field element such as 1f, or 'min', got ''",
+    ("goppa", "--alpha", "non-numeric"):
+        "goppa-orbits goppa: error: argument --alpha: expected a hex field element such as 1f, or 'min', got 'xyz'",
+    ("field-info", "--m", "empty"): "goppa-orbits field-info: error: argument --m: invalid int value: ''",
+    ("field-info", "--m", "non-numeric"): "goppa-orbits field-info: error: argument --m: invalid int value: 'xyz'",
+    ("table", "--r", "empty"):
+        "goppa-orbits table: error: argument --r: expected comma-separated integers such as 5,7,11, got ''",
+    ("table", "--r", "non-numeric"):
+        "goppa-orbits table: error: argument --r: expected comma-separated integers such as 5,7,11, got 'xyz'",
+    ("fixed-orbits", "--max-domain-bits", "empty"):
+        "goppa-orbits verify: error: argument --max-domain-bits: invalid int value: ''",
+    ("fixed-orbits", "--max-domain-bits", "negative"):
+        "goppa-orbits verify: error: argument --max-domain-bits: must be >= 0, got -5",
+    ("fixed-orbits", "--max-domain-bits", "non-numeric"):
+        "goppa-orbits verify: error: argument --max-domain-bits: invalid int value: 'xyz'",
+    ("bijection", "--max-domain-bits", "empty"):
+        "goppa-orbits verify: error: argument --max-domain-bits: invalid int value: ''",
+    ("bijection", "--max-domain-bits", "negative"):
+        "goppa-orbits verify: error: argument --max-domain-bits: must be >= 0, got -5",
+    ("bijection", "--max-domain-bits", "non-numeric"):
+        "goppa-orbits verify: error: argument --max-domain-bits: invalid int value: 'xyz'",
+    ("orbits", "--max-domain-bits", "empty"):
+        "goppa-orbits orbits: error: argument --max-domain-bits: invalid int value: ''",
+    ("orbits", "--max-domain-bits", "negative"):
+        "goppa-orbits orbits: error: argument --max-domain-bits: must be >= 0, got -5",
+    ("orbits", "--max-domain-bits", "non-numeric"):
+        "goppa-orbits orbits: error: argument --max-domain-bits: invalid int value: 'xyz'",
+}
+
+
 def _with_option(command, option, value):
     argv = list(_OPTION_BASES[command][0])
     if option in argv:
@@ -441,15 +496,17 @@ class TestOptionErrors:
     @pytest.mark.parametrize("command, option, kind", _OPTION_CASES)
     def test_bad_value_names_its_option(self, capsys, command, option, kind):
         value = "ffffffffffffffff" if (option, kind) == ("--alpha", "huge") else _BAD_VALUES.get(kind, _HUGE_PRIME)
+        refused = False
         try:
             code = main(_with_option(command, option, value))
         except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+            code, refused = exc.code, True
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         # the last line is the message; argparse prints a usage line naming every option before it
         message = captured.err.splitlines()[-1]
         assert re.search(rf"(?<!\w){option[2:]}(?!\w)", message), message
+        assert _USAGE_ERRORS.get((command, option, kind)) == (message if refused else None)
 
     @pytest.mark.parametrize("value", ["-5", "0", "99999999998", _HUGE_PRIME])
     def test_table_refuses_a_bad_degree_as_a_row(self, capsys, value):
@@ -498,7 +555,7 @@ def columns(request, monkeypatch):
 
 
 class TestNarrowParser:
-    """main builds only the invoked subcommand's parser, and prints what the full parser prints."""
+    """main parses plain command lines itself and prints what the full parser prints for every other."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_and_usage_errors_match_the_full_parser(self, capsys, columns, command):
@@ -524,29 +581,27 @@ class TestNarrowParser:
         assert line in (result[1] or result[2])
 
     @pytest.mark.parametrize("argv, built", [
-        (["bound", "--n", "5", "--r", "7"], ("bound",)),
-        (["field-info", "-h"], ("field-info",)),
-        ([], COMMANDS),
-        (["-h"], COMMANDS),
-        (["frob", "bound"], COMMANDS),
-        (["bou", "--n", "5"], COMMANDS),
+        (["bound", "--n", "5", "--r", "7"], []),
+        (["field-info", "-h"], [tuple(COMMANDS)]),
+        ([], [tuple(COMMANDS)]),
+        (["-h"], [tuple(COMMANDS)]),
+        (["frob", "bound"], [tuple(COMMANDS)]),
+        (["bou", "--n", "5"], [tuple(COMMANDS)]),
     ])
     def test_only_the_invoked_subcommand_is_built(self, capsys, monkeypatch, argv, built):
+        # a valid line builds no parser; help and usage errors build the full one, once
         calls = []
 
-        def recording(commands=COMMANDS):
-            calls.append(tuple(commands))
-            return build_parser(commands)
+        def recording():
+            parser = build_parser()
+            calls.append(tuple(next(action.choices for action in parser._actions if action.dest == "subcommand")))
+            return parser
 
         monkeypatch.setattr(cli, "build_parser", recording)
         with contextlib.suppress(SystemExit):
             main(argv)
         capsys.readouterr()
-        assert calls == [built]
-
-    def test_help_width_is_argparse_default(self, columns):
-        # argparse's own default: HelpFormatter asks shutil and subtracts 2
-        assert cli._help_width() == shutil.get_terminal_size().columns - 2
+        assert calls == built
 
 
 class TestUsageErrors:
@@ -566,7 +621,9 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --r: expected comma-separated integers such as 5,7,11, got '5,,7'" in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "goppa-orbits table: error: argument --r: expected comma-separated integers such as 5,7,11, got '5,,7'"
+        )
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -576,6 +633,13 @@ class TestUsageErrors:
              "got 'x^3+x^+1'"),
             (["goppa", "--n", "3", "--r", "2", "--alpha", "zz"],
              "argument --alpha: expected a hex field element such as 1f, or 'min', got 'zz'"),
+            # argparse's own wording for a plain int, which the non-negative converter keeps
+            (["verify", "--suite", "bijection", "--n", "2", "--r", "5", "--max-domain-bits", "abc"],
+             "argument --max-domain-bits: invalid int value: 'abc'"),
+            (["verify", "--suite", "bijection", "--n", "2", "--r", "5", "--max-domain-bits", ""],
+             "argument --max-domain-bits: invalid int value: ''"),
+            (["verify", "--suite", "bijection", "--n", "2", "--r", "5", "--max-domain-bits", "-1"],
+             "argument --max-domain-bits: must be >= 0, got -1"),
         ],
     )
     def test_malformed_value_names_option_and_form(self, capsys, argv, message):
@@ -584,7 +648,7 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert captured.err.splitlines()[-1] == f"goppa-orbits {argv[0]}: error: {message}"
 
     @pytest.mark.parametrize(
         "argv",

@@ -26,11 +26,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Modules no benchmarked command runs: dataclasses pulls in inspect, fractions
 # pulls in decimal, json is for --format json, goppa for the goppa subcommand.
-NOT_AT_START_UP = {"dataclasses", "inspect", "fractions", "decimal", "json", "goppa_orbits.goppa"}
-# argparse's HelpFormatter imports shutil for the terminal width, and shutil the
-# compression modules and fnmatch; the CLI's formatter asks os instead.
-NOT_ON_THE_PARSE_PATH = {"shutil", "bz2", "lzma", "fnmatch"}
+# main parses a valid command line from its own option table, so argparse, with
+# the re, gettext, locale and enum it imports, loads only for help and usage errors.
+NOT_AT_START_UP = {
+    "dataclasses", "inspect", "fractions", "decimal", "json", "goppa_orbits.goppa",
+    "argparse", "re", "gettext", "locale", "enum",
+}
+# argparse's help formatter also imports shutil for the terminal width, and
+# shutil the compression modules and fnmatch.
+NOT_ON_THE_PARSE_PATH = {"argparse", "locale", "shutil", "bz2", "lzma", "fnmatch"}
 QUINTIC = (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1, irreducible over GF(8) since gcd(5, 3) = 1
+
+
+def _loaded_by(argv, expected_out):
+    """The modules a fresh `python -S` has loaded after main(argv) printed expected_out."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from goppa_orbits.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        f"assert (code, out.getvalue()) == (0, {expected_out!r}), out.getvalue()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
 
 
 class TestImportSet:
@@ -43,17 +63,21 @@ class TestImportSet:
         assert NOT_AT_START_UP & loaded == set()
 
     def test_bound_parses_its_command_line_without_shutil(self):
-        code = (
-            "import contextlib, io, sys\n"
-            "from goppa_orbits.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    code = main(['bound', '--n', '5', '--r', '7', '--format', 'csv'])\n"
-            "assert (code, out.getvalue()) == (0, 'n,r,q,fixed_orbits,pgl_orbits,bound\\n5,7,32,3,149943,29991\\n')\n"
-            "print(' '.join(sorted(sys.modules)))\n"
-        )
+        loaded = _loaded_by(["bound", "--n", "5", "--r", "7", "--format", "csv"],
+                            "n,r,q,fixed_orbits,pgl_orbits,bound\n5,7,32,3,149943,29991\n")
+        assert NOT_ON_THE_PARSE_PATH & loaded == set()
+
+    def test_bijection_parses_its_command_line_without_argparse(self):
+        loaded = _loaded_by(["verify", "--suite", "bijection", "--n", "2", "--r", "5"],
+                            "PASS: semi-linear orbit counts agree on polynomials and elements (3 == 3)\n")
+        assert NOT_ON_THE_PARSE_PATH & loaded == set()
+
+    def test_help_still_comes_from_argparse(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert NOT_ON_THE_PARSE_PATH & set(proc.stdout.split()) == set()
+        proc = subprocess.run([sys.executable, "-S", "-m", "goppa_orbits.cli", "bound", "-h"], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: goppa-orbits bound [-h] --n N --r R") and "--format" in proc.stdout
 
     def test_goppa_runs_without_dataclasses(self):
         code = (
