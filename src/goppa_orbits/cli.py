@@ -23,8 +23,8 @@ from .action import IDENTITY, fixed_orbit_classes, pgl2_binary_subgroup, pgl_orb
 from .enumeration import BoundReport
 from .errors import GuardError, InternalCheckError
 from .gf2field import (
-    MAX_DEGREE,
     GF2m,
+    check_degree,
     elem_to_bits,
     make_field,
     make_tower,
@@ -108,8 +108,7 @@ def _check_domain_guard(gf: GF2m, r: int, user_bits: int | None) -> None:
 
 def _cmd_verify(args) -> list[str] | dict:
     # GF2m's own refusal names its degree m; here that degree is the option n.
-    if not 1 <= args.n <= MAX_DEGREE:
-        raise GuardError(f"field degree n = {args.n} outside supported range 1..{MAX_DEGREE}")
+    check_degree(args.n, "n")
     # Each check is (label, passed, detail).
     if args.suite == "fixed-orbits":
         params = Parameters(args.n, args.r)
@@ -174,8 +173,7 @@ def _cmd_orbits(args) -> list[str] | dict:
         raise ValueError(f"q={q} must be a power of two, at least 2")
     m = q.bit_length() - 1
     # GF2m's own refusal names its degree m; here the option is q = 2^m.
-    if m > MAX_DEGREE:
-        raise GuardError(f"q = 2^{m} outside supported range 2..2^{MAX_DEGREE}")
+    check_degree(m, "log2 q")
     gf = make_field(m)
     _check_domain_guard(gf, args.r, args.max_domain_bits)
     orbits = list(pgl_orbits(gf, args.r))
@@ -298,6 +296,8 @@ def _alpha(text: str) -> int | None:
 def _modulus(text: str) -> int:
     try:
         return modulus_from_text(text)
+    except GuardError:
+        raise
     except ValueError:
         raise ValueError(
             f"expected a binary polynomial such as x^3+x+1 or LSB-first bits such as 1101, got {text!r}"

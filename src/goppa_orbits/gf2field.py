@@ -36,6 +36,18 @@ _ROW_TABLE_DEGREE = 8
 _TOWER_DEGREE = 16
 
 
+def check_degree(m: int, name: str = "m") -> None:
+    """The one guard of MAX_DEGREE: refuse a field degree outside 1..MAX_DEGREE, under the caller's name for it."""
+    if not 1 <= m <= MAX_DEGREE:
+        raise GuardError(f"field degree {name} = {m} outside supported range 1..{MAX_DEGREE}")
+
+
+def _check_tower_degree(n: int) -> None:
+    """The one guard of _TOWER_DEGREE: a tower scans its 2^n base elements for a root and tables their images."""
+    if n > _TOWER_DEGREE:
+        raise GuardError(f"tower base degree {n} exceeds the ceiling {_TOWER_DEGREE} of its 2^n-element scan and table")
+
+
 # ---------------------------------------------------------------------------
 # GF(2)[x] on bit-packed ints (bit i = coefficient of x^i)
 # ---------------------------------------------------------------------------
@@ -105,8 +117,7 @@ def gf2_is_irreducible(f: int) -> bool:
 
 def smallest_irreducible(m: int) -> int:
     """Monic irreducible of degree m with smallest bit-packed value."""
-    if not 1 <= m <= MAX_DEGREE:
-        raise GuardError(f"field degree m = {m} outside supported range 1..{MAX_DEGREE}")
+    check_degree(m)
     top = 1 << m
     for low in range(top):
         f = top | low
@@ -142,7 +153,10 @@ def modulus_from_text(text: str) -> int:
         elif term == "x":
             mod ^= 2
         elif term.startswith("x^") and term[2:].isdecimal():
-            mod ^= 1 << int(term[2:])
+            k = int(term[2:])
+            if k:  # x^0 is 1; a degree over the field ceiling is refused before 1 << k is built
+                check_degree(k, "k of x^k")
+            mod ^= 1 << k
         elif term == "0" and s == "0":
             return 0
         else:
@@ -163,8 +177,7 @@ class GF2m:
     """GF(2^m) defined by an explicit monic irreducible modulus."""
 
     def __init__(self, m: int, modulus: int | None = None):
-        if not 1 <= m <= MAX_DEGREE:
-            raise GuardError(f"field degree m = {m} outside supported range 1..{MAX_DEGREE}")
+        check_degree(m)
         if modulus is None:
             modulus = smallest_irreducible(m)
         elif modulus.bit_length() - 1 != m:
@@ -342,8 +355,7 @@ class Tower:
     def __init__(self, base: GF2m, ext: GF2m, root: int):
         if ext.m % base.m != 0:
             raise ValueError("extension degree is not a multiple of the base degree")
-        if base.m > _TOWER_DEGREE:
-            raise GuardError(f"tower base degree {base.m} exceeds the table ceiling {_TOWER_DEGREE}")
+        _check_tower_degree(base.m)
         self.base = base
         self.ext = ext
         self.n = base.m
@@ -471,10 +483,8 @@ def make_tower(n: int, r: int) -> Tower:
     roots are its n - 1 Frobenius conjugates, all above it.
     """
     require_positive(n=n, r=r)
-    if n * r > MAX_DEGREE:
-        raise GuardError(f"composite degree n*r = {n * r} exceeds the {MAX_DEGREE}-bit ceiling")
-    if n > _TOWER_DEGREE:
-        raise GuardError(f"tower base degree {n} exceeds the root-scan ceiling {_TOWER_DEGREE}")
+    check_degree(n * r, "n*r")
+    _check_tower_degree(n)
     base = make_field(n)
     ext = make_field(n * r)
     # Roots of the base modulus all live in the copy of GF(2^n) inside ext.

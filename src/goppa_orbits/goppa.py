@@ -22,7 +22,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import GuardError, InternalCheckError
-from .gf2field import MAX_DEGREE, Tower, gf2_kernel
+from .gf2field import Tower, gf2_kernel
 from .polyq import is_irreducible, poly_degree, poly_eval
 
 _LENGTH_DEGREE = 10
@@ -91,8 +91,7 @@ class GoppaSpec(namedtuple("GoppaSpec", "tower g alpha")):
 def check_length(n: int) -> None:
     """Refuse base degree n > 10 (length q = 2^n over the 2^10 guard) without building q."""
     if n > _LENGTH_DEGREE:
-        length = 1 << n if n <= MAX_DEGREE else f"2^n with n = {n}"
-        raise GuardError(f"code length {length} exceeds the 2^{_LENGTH_DEGREE} guard")
+        raise GuardError(f"code length 2^n = 2^{n} exceeds the 2^{_LENGTH_DEGREE} guard")
 
 
 def build_goppa(spec: GoppaSpec) -> BinaryCode:

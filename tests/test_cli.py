@@ -1,10 +1,13 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import contextlib
+import itertools
 import json
 import re
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -373,7 +376,7 @@ class TestGoppaCommand:
 
         monkeypatch.setattr(cli, "make_tower", no_tower)
         code, out, err = run(capsys, "goppa", "--n", "16", "--r", "4", "--alpha", "min")
-        assert (code, out, err) == (1, "", "error: code length 65536 exceeds the 2^10 guard\n")
+        assert (code, out, err) == (1, "", "error: code length 2^n = 2^16 exceeds the 2^10 guard\n")
 
 
 class TestFieldInfoCommand:
@@ -387,12 +390,30 @@ class TestFieldInfoCommand:
     def test_both_modulus_forms_accepted(self, capsys):
         _, human, _ = run(capsys, "field-info", "--m", "3", "--modulus", "x^3+x^2+1")
         _, bits, _ = run(capsys, "field-info", "--m", "3", "--modulus", "1011")
-        assert human == bits
+        _, constant_x0, _ = run(capsys, "field-info", "--m", "3", "--modulus", "x^3+x^2+x^0")
+        assert human == bits == constant_x0
 
     def test_reducible_modulus_exits_1(self, capsys):
         code, _, err = run(capsys, "field-info", "--m", "3", "--modulus", "x^3+1")
         assert code == 1
         assert "reducible" in err
+
+    def test_huge_term_refused_before_it_is_built(self, capsys):
+        """x^1000000000 would be a 125 MB int; the field ceiling refuses its degree while parsing."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as refused:
+                main(["field-info", "--m", "3", "--modulus", "x^1000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (refused.value.code, captured.out) == (1, "")
+        assert captured.err.splitlines()[-1] == (
+            "goppa-orbits field-info: error: argument --modulus: "
+            "field degree k of x^k = 1000000000 outside supported range 1..64"
+        )
+        assert peak < 1 << 20
 
 
 # Each numeric option of each subcommand, given an empty, negative, non-numeric or
@@ -521,12 +542,12 @@ class TestOptionErrors:
          "field degree n = 67 outside supported range 1..64"),
         (["field-info", "--m", "0"], "field degree m = 0 outside supported range 1..64"),
         (["goppa", "--n", "3", "--r", "99999999999", "--alpha", "min"],
-         "composite degree n*r = 299999999997 exceeds the 64-bit ceiling"),
+         "field degree n*r = 299999999997 outside supported range 1..64"),
         (["goppa", "--n", "3", "--r", "1", "--alpha", "min"], "goppa codes need degree r >= 2, got r = 1"),
         (["goppa", "--n", "3", "--r", "1", "--alpha", "1"], "goppa codes need degree r >= 2, got r = 1"),
         # GF2m would name its degree m; the option is q = 2^m
-        (["orbits", "--q", str(2**65), "--r", "2"], "q = 2^65 outside supported range 2..2^64"),
-        (["orbits", "--q", str(2**70), "--r", "2"], "q = 2^70 outside supported range 2..2^64"),
+        (["orbits", "--q", str(2**65), "--r", "2"], "field degree log2 q = 65 outside supported range 1..64"),
+        (["orbits", "--q", str(2**70), "--r", "2"], "field degree log2 q = 70 outside supported range 1..64"),
     ], ids=["bijection-n", "fixed-orbits-n", "field-info-m", "goppa-n-r", "goppa-r-1-min", "goppa-r-1-alpha",
             "orbits-q-2^65", "orbits-q-2^70"])
     def test_renamed_messages(self, capsys, argv, message):
@@ -667,3 +688,85 @@ class TestUsageErrors:
         assert "usage:" in captured.err
         # argparse quotes the choices on some Python versions and not on others
         assert re.search(r"--format: invalid choice: .*\(choose from '?plain'?, '?json'?\)", captured.err)
+
+
+def _format_lines():
+    """Each golden and README command line of bound, table and orbits, without its --format."""
+    from test_cli_fuzz import _readme_examples
+    from test_cli_golden import CASES
+
+    lines = set()
+    for argv in [text.split() for text in CASES.values()] + list(_readme_examples()):
+        if argv[0] in ("bound", "table", "orbits"):
+            if "--format" in argv:
+                i = argv.index("--format")
+                argv = argv[:i] + argv[i + 2:]
+            lines.add(" ".join(argv))
+    return sorted(lines)
+
+
+_REPORT_KEYS = ("n", "r", "q", "fixed_orbits", "pgl_orbits", "bound")
+
+
+def _reports(fmt, out):
+    """The numbers of each bound or table row that the format prints, by name."""
+    if fmt == "json":
+        data = json.loads(out)
+        rows = []
+        for rep in data.get("rows", [data]):
+            row = {key: int(rep[key]) for key in _REPORT_KEYS}
+            terms = rep["terms"]
+            row["terms"] = [Fraction(int(terms[t]["numerator"]), int(terms[t]["denominator"]))
+                            for t in ("fixed_orbit_term", "generic_orbit_term")]
+            rows.append(row)
+        return rows
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == cli.CSV_HEADER
+        return [dict(zip(_REPORT_KEYS, map(int, line.split(",")))) for line in lines[1:]]
+    title = re.fullmatch(r"upper bounds for n = (\d+) \(code length (\d+)\)", lines[0])
+    if title:  # table: n and q + 1 in the title, r and the bound on each row
+        n, length = map(int, title.groups())
+        return [dict(n=n, q=length - 1, **dict(zip(("r", "bound"), map(int, re.fullmatch(
+            r"  r = (\d+) +bound = (\d+)", line).groups())))) for line in lines[1:]]
+    n, r, n_again, q = map(int, re.fullmatch(r"n = (\d+), r = (\d+), q = 2\^(\d+) = (\d+)", lines[0]).groups())
+    assert n_again == n
+    values = [line.split(" = ", 1)[1] for line in lines[1:]]
+    return [dict(n=n, r=r, q=q, fixed_orbits=int(values[0]), pgl_orbits=int(values[1]),
+                 terms=[Fraction(term) for term in values[2].split(" + ")], bound=int(values[3]))]
+
+
+def _orbit_lists(fmt, out):
+    """What the format prints of the orbits, as one row: their count and each size and canonical form."""
+    if fmt == "json":
+        data = json.loads(out)
+        orbits = data["orbits"]
+        assert data["orbit_count"] == len(orbits)
+        return [dict(q=data["q"], r=data["r"], count=data["orbit_count"], sizes=[o["size"] for o in orbits],
+                     text=[o["canonical_text"] for o in orbits], bits=["".join(o["canonical"]) for o in orbits])]
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "canonical,size"
+        rows = [line.split(",") for line in lines[1:]]
+        return [dict(count=len(rows), sizes=[int(size) for _, size in rows], bits=[bits for bits, _ in rows])]
+    count, q, r = map(int, re.fullmatch(r"(\d+) orbits of PGL2\(F_(\d+)\) on degree-(\d+) irreducibles",
+                                        lines[0]).groups())
+    rows = [re.fullmatch(r"  size (\d+) +canonical (.+)", line).groups() for line in lines[1:]]
+    assert count == len(rows)
+    return [dict(q=q, r=r, count=count, sizes=[int(size) for size, _ in rows], text=[text for _, text in rows])]
+
+
+@pytest.mark.parametrize("line", _format_lines())
+def test_plain_json_and_csv_agree_on_every_shared_number(capsys, line):
+    parse = _orbit_lists if line.startswith("orbits") else _reports
+    parsed = {}
+    for fmt in ("plain", "json", "csv"):
+        code, out, _ = run(capsys, *line.split(), "--format", fmt)
+        assert code == 0
+        parsed[fmt] = parse(fmt, out)
+    for rows_a, rows_b in itertools.combinations(parsed.values(), 2):
+        assert len(rows_a) == len(rows_b)
+        for a, b in zip(rows_a, rows_b):
+            shared = a.keys() & b.keys()
+            assert len(shared) >= 2
+            assert {key: a[key] for key in shared} == {key: b[key] for key in shared}

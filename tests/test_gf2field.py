@@ -371,7 +371,7 @@ class TestTower:
         calls = []
         # the root check and the table both multiply in ext; neither may run
         monkeypatch.setattr(ext, "mul", lambda a, b: calls.append((a, b)) or 0)
-        with pytest.raises(GuardError, match="table ceiling 16"):
+        with pytest.raises(GuardError, match="^tower base degree 17 exceeds the ceiling 16 "):
             Tower(base, ext, 0)
         assert calls == []
 
