@@ -21,11 +21,11 @@ only the least scalings tried: one translation each for odd degree r,
 which clears the x^(r-1) coefficient, all q for even r, compared in the
 log domain on the field's exp/log tables (m <= 16).  Canonical forms,
 stabilizers and the sigma^r-fixedness tests use that sweep and
-materialize no orbit; its guard prices it in Taylor shifts.  Every memo
-here keeps one entry (the last plan, seed and Parameters), so asking
-`stabilizer` and both fixedness methods about one f sweeps f once, tests
-f once and walks f's representatives once more, toward sigma^r of its
-canonical form.
+materialize no orbit; its guard prices it in Taylor shifts.  Four memos
+keep one entry each: `_plan`, `_sweep` (with the seed's representatives),
+`_irreducible_seed` and `fixed_orbit_classes`, whose divisor sweeps skip
+the seed memo.  So `stabilizer` and both fixedness methods asked about one
+f sweep f once, test it once and walk its representatives once more.
 """
 
 from __future__ import annotations
@@ -332,8 +332,6 @@ def _check_seed(gf: GF2m, f: Poly) -> int:
     return r
 
 
-# One entry: the direct fixedness test walks the representatives its sweep of f built.
-@lru_cache(maxsize=1)
 def _representatives(gf: GF2m, f: Poly) -> tuple[tuple[int | None, Poly], ...]:
     """(gamma, h) for h = f (gamma None) and h = x^r f(1/x + gamma), the reversal of f(x + gamma).
 
@@ -385,12 +383,11 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
 
 
 @lru_cache(maxsize=1)
-def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
-    """The least member of PGL(f) and every canonical A with act_poly(A, f) equal to it.
+def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...], tuple[tuple[int | None, Poly], ...]]:
+    """The least member of PGL(f), every canonical A with act_poly(A, f) equal to it, and f's representatives.
 
-    f is a seed `_check_seed` passed; the one-entry memo lets
-    `stabilizer` and both sigma^r-fixedness methods asked about one seed
-    sweep it once, unless the divisor classes are built in between.
+    f is a seed `_check_seed` passed; the one-entry memo also keeps the
+    representatives that `_reaches` walks for the direct fixedness test.
 
     Each coset representative h goes through translations x -> x + v,
     then scalings x -> u x; made monic, c_j becomes c_j u^(j-r) / h_r (a
@@ -412,8 +409,8 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
     powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least
     rows, exp, log = gf.rows, gf._exp, gf._log
     # best[j]: the x^j coefficient of the least candidate so far; q is above every element.
-    best, hits = [gf.order] * r, []
-    for gamma, h in _representatives(gf, f):
+    best, hits, reps = [gf.order] * r, [], _representatives(gf, f)
+    for gamma, h in reps:
         lead = log[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
@@ -452,26 +449,26 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...]]:
         (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, rows[gamma][v] ^ 1, u, rows[gamma][u]))
         for gamma, v, u in hits
     )
-    return tuple(best) + (1,), mats
+    return tuple(best) + (1,), mats, reps
 
 
-def _reaches(gf: GF2m, f: Poly, target: Poly) -> bool:
+def _reaches(gf: GF2m, reps: tuple[tuple[int | None, Poly], ...], target: Poly) -> bool:
     """Is target in PGL(f)?  `_sweep`'s candidates, each compared with target alone.
 
-    f is a seed tuple `_check_seed` passed; target is monic of degree r,
-    an x^0 term and, at odd r, no x^(r-1) term, so one translation per
-    representative can reach it.  A candidate matches at t, target's top
+    reps are f's representatives as `_sweep` keeps them; target is monic of
+    degree r, an x^0 term and, at odd r, no x^(r-1) term, so one translation
+    per representative can reach it.  A candidate matches at t, target's top
     index below r, for the u = g^k that scale c_t to target_t: as 1 is the
     least nonzero element, the plan's least[t] row at log c_t - log h_r -
     log target_t, unless its first k misses target_t and so does every k.
     """
-    r = len(f) - 1
+    r = len(target) - 1
     t = max(j for j in range(r) if target[j])
     plan = _plan(gf, r)
     powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least[t]
     s, exp, log = gf.mult_order, gf._exp, gf._log
     want = log[target[t]]
-    for gamma, h in _representatives(gf, f):
+    for _, h in reps:
         lead = log[h[r]]
         for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
             pw = powers[v]
@@ -542,7 +539,7 @@ def stabilizer(gf: GF2m, f: Poly) -> list[Matrix]:
     memoized sweep keeps its hits in a tuple.
     """
     _check_seed(gf, f)
-    _, hits = _sweep(gf, tuple(f))
+    hits = _sweep(gf, tuple(f))[1]
     if len(hits) == 1:
         return [IDENTITY]
     back = mat_inv(gf, hits[0])
@@ -560,9 +557,12 @@ def fixed_orbit_classes(params: Parameters) -> MappingProxyType:
     """
     gf = make_field(params.n)
     _check_sweep_guard(gf, params.r)
+    divisors = divisor_polynomials(params)
+    if divisors:  # binary and monic of degree r: one seed check serves them all
+        _check_seed(gf, divisors[0])
     classes: dict[Poly, list[Poly]] = {}
-    for d in divisor_polynomials(params):
-        classes.setdefault(orbit_canonical(gf, d), []).append(d)
+    for d in divisors:
+        classes.setdefault(_sweep.__wrapped__(gf, d)[0], []).append(d)
     return MappingProxyType({canon: tuple(ds) for canon, ds in classes.items()})
 
 
@@ -577,9 +577,8 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r of
     f's canonical form lies in PGL(f), which `_reaches` tests on the
     sweep's least-scaling rows.  Where both methods apply they must agree.
-    f must have degree r and be irreducible: Ben-Or's test runs once per
-    seed while it stays in the one-entry memo of `_irreducible_seed`, so
-    asking both methods tests f once; a reducible seed is refused on every call.
+    f must have degree r and be irreducible, which the memoized Ben-Or test
+    checks once per seed; a reducible seed is refused on every call.
     """
     gf, f = make_field(params.n), tuple(f)
     _check_sweep_guard(gf, params.r)
@@ -593,7 +592,8 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
             raise ValueError(f"the divisibility method needs gcd(r, n) = 1, got gcd({params.r}, {params.n}) = {common}")
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
     if method == "direct":
-        return _reaches(gf, f, poly_frobenius(gf, orbit_canonical(gf, f), params.r))
+        canonical = orbit_canonical(gf, f)
+        return _reaches(gf, _sweep(gf, f)[2], poly_frobenius(gf, canonical, params.r))
     raise ValueError(f"unknown method {method!r}")
 
 

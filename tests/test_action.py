@@ -343,9 +343,9 @@ class TestOrbitsAndStabilizers:
             (lambda: stabilizer(gf8, (0, 0, 0, 1)), 0),  # x^3
             (lambda: orbit_canonical(gf8, (5, 4, 4, 1)), 5),  # (x + 5)(x^2 + x + 1)
             (lambda: stabilizer(gf8, (5, 4, 4, 1)), 5),
-            # the membership walk refuses the same seeds before it walks
-            (lambda: action._reaches(gf8, (0, 0, 0, 1), (1, 1, 0, 1)), 0),
-            (lambda: action._reaches(gf8, (5, 4, 4, 1), (1, 1, 0, 1)), 5),
+            # the representatives the membership walk takes refuse the same seeds
+            (lambda: action._reaches(gf8, action._representatives(gf8, (0, 0, 0, 1)), (1, 1, 0, 1)), 0),
+            (lambda: action._reaches(gf8, action._representatives(gf8, (5, 4, 4, 1)), (1, 1, 0, 1)), 5),
         ]
         for call, root in cases:
             with pytest.raises(ValueError, match=rf"^the seed has the root {root} in F_q, so it is reducible$"):
@@ -355,6 +355,10 @@ class TestOrbitsAndStabilizers:
         # the root of x + 3 lies in F_8, and some Möbius map sends it to infinity
         with pytest.raises(ValueError, match=r"degree r >= 2, got r = 1"):
             pgl_orbit(gf8, (3, 1))
+        # the divisor classes say so too, not that the divisor x has the root 0
+        for n in (3, 2):
+            with pytest.raises(ValueError, match=r"^PGL orbits need degree r >= 2, got r = 1$"):
+                fixed_orbit_classes(Parameters(n, 1, strict=False))
 
     def test_pgl_orbits_walks_i_r_once_without_retesting_seeds(self, gf8, gf32, monkeypatch):
         # the seed-checked walk: pgl_orbit over the enumeration, skipping members already met
@@ -445,7 +449,7 @@ class TestCanonicalSweep:
     @staticmethod
     def _check_orbit_members(gf, orbit, members):
         for f in members:
-            canonical, hits = _sweep(gf, f)
+            canonical, hits, _ = _sweep(gf, f)
             assert canonical == orbit.canonical
             # orbit-stabilizer: the hits are the |Stab(f)| elements reaching the canonical form
             assert len(hits) * orbit.size == gf.order**3 - gf.order
@@ -500,7 +504,7 @@ class TestCanonicalSweep:
             scaled = [[gf.mul(gf.mul(c[j], ilead), row[r - j]) for j in range(r - 1, -1, -1)] for row in inverse_powers]
             assert c[r - 1] == 0 and c[r - 2] and min(cand[1] for cand in scaled) == 1
             candidates += map(tuple, scaled)
-        canonical, hits = _sweep(gf, f)
+        canonical, hits, _ = _sweep(gf, f)
         least = min(candidates)
         assert canonical == least[::-1] + (1,)
         assert candidates.count(least) == len(hits) == 1
@@ -553,14 +557,14 @@ class TestCanonicalSweep:
         assert sorted(d for ds in classes.values() for d in ds) == sorted(divisor_polynomials(params))
         for canonical, divisors in classes.items():
             for d in divisors:
-                _, hits = _sweep(gf, d)
+                _, hits, _ = _sweep(gf, d)
                 assert all(act_poly(gf, mat, d) == canonical for mat in hits)
                 assert {act_poly(gf, mat, d) for mat in pgl2_binary_subgroup()} == set(divisors)
 
     def test_even_degree_canonical_is_materialized(self, gf8, rng):
         f = random_irreducible(gf8, 4, rng)
         members = _pgl_orbit_members(gf8, f)
-        canonical, hits = _sweep(gf8, f)
+        canonical, hits, _ = _sweep(gf8, f)
         assert orbit_canonical(gf8, f) == canonical == members[0]
         assert len(hits) * len(members) == gf8.order**3 - gf8.order
 
@@ -604,7 +608,6 @@ class TestSweepKernels:
         plan = _plan(gf, r)
         for _ in range(3):
             f = random_irreducible(gf, r, rng)
-            action._representatives.cache_clear()
             reps = action._representatives(gf, f)
             assert [gamma for gamma, _ in reps] == [None] + list(range(gf.order))
             assert reps[0][1] == f
@@ -715,8 +718,8 @@ class TestSigmaRFixedOrbits:
         orbits = list(pgl_orbits(gf, r))
         met = set()
         for orbit in rng.sample(orbits, min(3, len(orbits))):
-            f = orbit.members[rng.randrange(orbit.size)]
-            found = [action._reaches(gf, f, t) for t in targets]
+            reps = action._representatives(gf, orbit.members[rng.randrange(orbit.size)])
+            found = [action._reaches(gf, reps, t) for t in targets]
             assert found == [t in orbit for t in targets]
             met.update(found)
         assert met == {False, True}
@@ -791,10 +794,8 @@ class TestSeedMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        # the divisor classes sweep every divisor; build them before counting
-        fixed_orbit_classes(self.PARAMS)
-        _sweep.cache_clear()
-        _irreducible_seed.cache_clear()
+        for memo in (_plan, _sweep, _irreducible_seed, fixed_orbit_classes):
+            memo.cache_clear()
 
     @staticmethod
     def _query(gf, f, params):
@@ -805,11 +806,9 @@ class TestSeedMemo:
         )
 
     def test_one_query_sweeps_once_walks_once_and_tests_once(self, gf8, rng, monkeypatch):
+        # the first query at these Parameters builds their divisor classes too
         f = random_irreducible(gf8, 7, rng)
         assert poly_frobenius(gf8, f, 7) != f
-        expected = self._query(gf8, f, self.PARAMS)
-        _sweep.cache_clear()
-        _irreducible_seed.cache_clear()
         # the direct method walks f's representatives toward sigma^r of its canonical form
         tested, walked = [], []
         real_walk = action._reaches
@@ -818,16 +817,35 @@ class TestSeedMemo:
             tested.append(tuple(g))
             return is_irreducible(gf, g)
 
-        def counting_walk(gf, g, target):
-            walked.append((tuple(g), target))
-            return real_walk(gf, g, target)
+        def counting_walk(gf, reps, target):
+            walked.append((reps, target))
+            return real_walk(gf, reps, target)
 
         monkeypatch.setattr("goppa_orbits.action.is_irreducible", counting_test)
         monkeypatch.setattr("goppa_orbits.action._reaches", counting_walk)
-        assert self._query(gf8, f, self.PARAMS) == expected
+        stab, divisibility, direct = self._query(gf8, f, self.PARAMS)
         assert (_sweep.cache_info().misses, _sweep.cache_info().currsize) == (1, 1)
+        assert fixed_orbit_classes.cache_info().misses == 1
         assert tested == [f]
-        assert walked == [(f, poly_frobenius(gf8, orbit_canonical(gf8, f), 7))]
+        canonical, _, reps = _sweep(gf8, f)
+        assert reps[0] == (None, f)
+        assert walked == [(reps, poly_frobenius(gf8, canonical, 7))]
+        # the answers, against f's materialized orbit
+        members = _pgl_orbit_members(gf8, f)
+        assert len(stab) * len(members) == gf8.order**3 - gf8.order
+        assert divisibility == (not set(divisor_polynomials(self.PARAMS)).isdisjoint(members))
+        assert direct == (poly_frobenius(gf8, f, 7) in members)
+
+    def test_divisor_classes_leave_the_seed_memo_alone(self, gf8, rng):
+        f = random_irreducible(gf8, 7, rng)
+        canonical = orbit_canonical(gf8, f)
+        before = _sweep.cache_info()
+        classes = fixed_orbit_classes(self.PARAMS)
+        assert _sweep.cache_info() == before
+        assert sorted(d for ds in classes.values() for d in ds) == sorted(divisor_polynomials(self.PARAMS))
+        # f is still the memo's entry
+        assert orbit_canonical(gf8, f) == canonical
+        assert _sweep.cache_info().hits == before.hits + 1
 
     def test_stabilizer_list_is_fresh(self, gf8, rng):
         for f, size in ((self.SEVEN_FOLD, 7), (random_irreducible(gf8, 7, rng), 1)):
@@ -885,8 +903,12 @@ class TestSeedMemo:
             is_orbit_sigma_r_fixed(f, Parameters(gf.m, r, strict=False), "direct")
         for params in (Parameters(3, 7, strict=False), Parameters(5, 3, strict=False)):
             fixed_orbit_classes(params)
-        for memo in (_plan, _sweep, _irreducible_seed, action._representatives, fixed_orbit_classes):
+        memos = (_plan, _sweep, _irreducible_seed, fixed_orbit_classes)
+        for memo in memos:
             assert memo.cache_info().currsize == 1
+        # and they are action's only memos: the seed's representatives live in the sweep's entry
+        assert {obj for obj in vars(action).values()
+                if hasattr(obj, "cache_info") and obj.__module__ == action.__name__} == set(memos)
 
 
 class TestRootOrbitCorrespondence:

@@ -13,12 +13,20 @@ The values are boundary and malformed integers, bad formats, suites,
 alphas, moduli and degree lists; the shapes are repeats, `--opt=value`,
 abbreviations, `--`, unknown tokens, help flags and missing values.  Each
 base command line runs in milliseconds, and so does every mutation of it.
+
+Run as a script, it holds the vectors of each seed given (the test's seed
+if none is) to the same checks and exits 1 if any vector breaks them:
+
+    PYTHONPATH=src python tests/test_cli_fuzz.py 1 2 3
 """
 
+import contextlib
+import io
 import itertools
 import random
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,26 +128,33 @@ def _readme_examples():
             yield shlex.split(text)
 
 
-def _run(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse: help or a usage error
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help or a usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", vectors(), ids=shlex.join)
-def test_table_parse_agrees_with_argparse_and_the_exit_contract_holds(capsys, argv):
+def check_contract(argv):
+    """The table parse declines or equals argparse's namespace; the run exits 0 with
+    output, or 1 with stdout empty, a message on stderr and no traceback."""
     plain = cli._parse_plain(argv)
     if plain is not None:
         assert vars(plain) == vars(build_parser().parse_args(argv))
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run(argv)
     if code == 0:
         assert out
     else:
         assert (code, out) == (1, "") and err.strip()
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", vectors(), ids=shlex.join)
+def test_table_parse_agrees_with_argparse_and_the_exit_contract_holds(argv):
+    check_contract(argv)
 
 
 def test_the_fuzz_reaches_both_parsers():
@@ -152,3 +167,19 @@ def test_golden_and_readme_command_lines_take_the_table_parse(argv):
     plain = cli._parse_plain(argv)
     assert plain is not None
     assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+if __name__ == "__main__":
+    if not __debug__:
+        sys.exit("the contract checks are asserts, which -O removes")
+    broken = 0
+    for seed in map(int, sys.argv[1:] or [SEED]):
+        failures = []
+        for argv in vectors(seed):
+            try:
+                check_contract(argv)
+            except (Exception, SystemExit) as exc:  # an uncaught error breaks the contract too
+                failures.append(f"  {shlex.join(argv)}: {type(exc).__name__}: {exc}")
+        print(f"seed {seed}: {COUNT} vectors, {len(failures)} broke the contract", *failures, sep="\n")
+        broken += len(failures)
+    sys.exit(1 if broken else 0)

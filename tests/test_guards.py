@@ -2,7 +2,8 @@
 
 The Guards section of README.md opens with one table row per ceiling:
 where it lives, its limit, what it counts, and the message its guard
-prints one step above the limit.  Each row is probed here at that step,
+prints one step above the limit (a ceiling compared twice quotes both
+messages, in source order).  Each row is probed here at that step,
 with an input cheap enough that the refusal must come before any work,
 and a named constant must show its value in the row's limit and message.
 A ceiling with several entry points is probed from each of them, every
@@ -61,14 +62,14 @@ PROBES = {
 }
 
 
-def _guard_table() -> dict[str, tuple[str, str]]:
-    """ceiling -> (limit, message), from the first table of the README's Guards section."""
+def _guard_table() -> dict[str, tuple[str, list[str]]]:
+    """ceiling -> (limit, quoted messages), from the first table of the README's Guards section."""
     section = README.read_text(encoding="utf-8").split("\n## Guards\n", 1)[1].split("\n## ", 1)[0]
     rows = {}
     for line in section.split("\n"):
         if line.startswith("| `"):
             cells = [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
-            rows[cells[0].strip("`")] = cells[1], cells[3].strip("`")
+            rows[cells[0].strip("`")] = cells[1], re.findall(r"`([^`]*)`", cells[3])
     return rows
 
 
@@ -93,12 +94,13 @@ def test_the_table_lists_every_ceiling_once():
 
 @pytest.mark.parametrize("ceiling", sorted(PROBES))
 def test_one_step_above_the_limit_is_refused_with_the_quoted_message(ceiling):
-    limit, message = TABLE[ceiling]
-    assert _refusal(PROBES[ceiling]) == message
+    limit, messages = TABLE[ceiling]
+    assert len(messages) == (2 if ceiling in TWO_COMPARISONS else 1)
+    assert _refusal(PROBES[ceiling]) == messages[0]
     value = _value(ceiling)
     if isinstance(value, int):
         assert str(value) in re.findall(r"\d+", limit)
-        assert str(value) in re.findall(r"\d+", message)
+        assert all(str(value) in re.findall(r"\d+", message) for message in messages)
 
 
 def _cli_refusal(capsys, line: str) -> str:
@@ -133,7 +135,7 @@ def test_every_entry_point_prints_the_one_field_degree_message(capsys, entry):
     probe, name = _ABOVE_MAX_DEGREE[entry]
     message = _cli_refusal(capsys, probe) if isinstance(probe, str) else _refusal(probe)
     # the table quotes the library's name m; an entry point may only put its own name there
-    assert message == TABLE["gf2field.MAX_DEGREE"][1].replace("degree m =", f"degree {name} =")
+    assert message == TABLE["gf2field.MAX_DEGREE"][1][0].replace("degree m =", f"degree {name} =")
 
 
 @pytest.mark.parametrize("probe", [
@@ -141,7 +143,17 @@ def test_every_entry_point_prints_the_one_field_degree_message(capsys, entry):
     lambda: Tower(make_field(17), make_field(17), 0),
 ], ids=["make_tower", "Tower"])
 def test_every_entry_point_prints_the_one_tower_message(probe):
-    assert _refusal(probe) == TABLE["gf2field._TOWER_DEGREE"][1]
+    assert _refusal(probe) == TABLE["gf2field._TOWER_DEGREE"][1][0]
+
+
+# 3n = 2^20 + 2: one step above the largest n that check_n, the second comparison, admits
+_ABOVE_CHECK_N = (1 << 20) // 3 + 1
+
+
+def test_one_step_above_the_whole_n_check_prints_the_second_quoted_message(capsys):
+    message = TABLE["polyq._BITS_CEILING"][1][1]
+    assert _refusal(lambda: Parameters.check_n(_ABOVE_CHECK_N)) == message
+    assert _cli_refusal(capsys, f"table --n {_ABOVE_CHECK_N} --r 5") == message
 
 
 # ceiling -> calls exactly at its limit, which that ceiling admits; each returns, or is refused by
