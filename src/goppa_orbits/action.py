@@ -25,7 +25,9 @@ materialize no orbit; its guard prices it in Taylor shifts.  Four memos
 keep one entry each: `_plan`, `_sweep` (with the seed's representatives),
 `_irreducible_seed` and `fixed_orbit_classes`, whose divisor sweeps skip
 the seed memo.  So `stabilizer` and both fixedness methods asked about one
-f sweep f once, test it once and walk its representatives once more.
+f sweep f once, test it once and walk its representatives at most once
+more, when no image sigma^(jr)(c) of its canonical form c is below c and
+sigma^r(c) != c.
 """
 
 from __future__ import annotations
@@ -574,12 +576,16 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     Such divisors exist only when gcd(r, n) = 1; elsewhere this method
     raises ValueError.  method="direct": is sigma^r f itself an orbit
     member, i.e. do f and sigma^r f share a canonical form?  As
-    sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r of
-    f's canonical form lies in PGL(f), which `_reaches` tests on the
-    sweep's least-scaling rows.  Where both methods apply they must agree.
-    f must have degree r and be irreducible, which the memoized Ben-Or test
-    checks once per seed; a reducible seed is refused on every call.
+    sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r(c)
+    lies in PGL(f), c f's canonical form: an image sigma^(jr)(c) below c
+    answers False, sigma^r(c) = c True, and otherwise `_reaches` tests
+    sigma^r(c) on the sweep's least-scaling rows.  Where both methods apply
+    they must agree.  The method is checked first; f must have degree r and
+    be irreducible, which the memoized Ben-Or test checks once per seed; a
+    reducible seed is refused on every call.
     """
+    if method not in ("divisibility", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     gf, f = make_field(params.n), tuple(f)
     _check_sweep_guard(gf, params.r)
     if len(f) - 1 != params.r:
@@ -591,10 +597,17 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
         if common != 1:
             raise ValueError(f"the divisibility method needs gcd(r, n) = 1, got gcd({params.r}, {params.n}) = {common}")
         return orbit_canonical(gf, f) in fixed_orbit_classes(params)
-    if method == "direct":
-        canonical = orbit_canonical(gf, f)
-        return _reaches(gf, _sweep(gf, f)[2], poly_frobenius(gf, canonical, params.r))
-    raise ValueError(f"unknown method {method!r}")
+    _check_seed(gf, f)
+    canonical, _, reps = _sweep(gf, f)
+    frob = gf._frobenius
+    # A fixed orbit holds each image sigma^k(c), k = jr, none below its least member c.
+    for k in range(params.r, params.r * params.n, params.r):
+        below = next((b < a for a in canonical[-2::-1] if (b := frob(a, k)) != a), None)
+        if below:
+            return False
+        if below is None and k == params.r:  # sigma^r(c) = c
+            return True
+    return _reaches(gf, reps, poly_frobenius(gf, canonical, params.r))
 
 
 @lru_cache(maxsize=1)

@@ -724,7 +724,7 @@ class TestSigmaRFixedOrbits:
             met.update(found)
         assert met == {False, True}
 
-    @pytest.mark.parametrize("n, r", [(2, 5), (3, 4), (2, 6), (4, 3)])
+    @pytest.mark.parametrize("n, r", [(2, 5), (3, 4), (2, 6), (4, 3), (3, 3), (2, 4)])
     def test_direct_is_the_shared_canonical_form_on_every_irreducible(self, n, r):
         gf, params = make_field(n), Parameters(n, r, strict=False)
         fixed = 0
@@ -733,6 +733,13 @@ class TestSigmaRFixedOrbits:
             assert is_orbit_sigma_r_fixed(f, params, "direct") == shared
             fixed += shared
         assert fixed > 0
+
+    def test_direct_is_the_shared_canonical_form_at_4_6(self, rng):
+        # sigma^(2r) is the identity on F_16, so sigma^(2r)(c) = c says nothing about sigma^r(c)
+        gf, params = make_field(4), Parameters(4, 6, strict=False)
+        for f in [random_irreducible(gf, 6, rng) for _ in range(10)]:
+            shared = orbit_canonical(gf, poly_frobenius(gf, f, 6)) == orbit_canonical(gf, f)
+            assert is_orbit_sigma_r_fixed(f, params, "direct") == shared
 
     def test_direct_is_the_shared_canonical_form_at_3_7(self, gf8, rng):
         # divisors and their images are fixed, x^7 + g has |Stab| = 7, random septics mostly are not
@@ -805,11 +812,17 @@ class TestSeedMemo:
             is_orbit_sigma_r_fixed(f, params, "direct"),
         )
 
-    def test_one_query_sweeps_once_walks_once_and_tests_once(self, gf8, rng, monkeypatch):
-        # the first query at these Parameters builds their divisor classes too
-        f = random_irreducible(gf8, 7, rng)
-        assert poly_frobenius(gf8, f, 7) != f
-        # the direct method walks f's representatives toward sigma^r of its canonical form
+    def test_one_query_sweeps_once_tests_once_and_walks_at_most_once(self, gf8, rng, monkeypatch):
+        # the direct method walks f's representatives toward sigma^r(c), c its canonical form,
+        # only when no image sigma^(jr)(c) lies below c and sigma^r(c) != c
+        seeds = {"divisor image": act_poly(gf8, random_matrix(gf8, rng), divisor_polynomials(self.PARAMS)[0])}
+        while len(seeds) < 3:
+            f = random_irreducible(gf8, 7, rng)
+            c = orbit_canonical(gf8, f)
+            images = [poly_frobenius(gf8, c, 7 * j) for j in (1, 2)]
+            if images[0] != c:
+                below = min(map(poly_sort_key, images)) < poly_sort_key(c)
+                seeds.setdefault("image below" if below else "least image", f)
         tested, walked = [], []
         real_walk = action._reaches
 
@@ -823,18 +836,26 @@ class TestSeedMemo:
 
         monkeypatch.setattr("goppa_orbits.action.is_irreducible", counting_test)
         monkeypatch.setattr("goppa_orbits.action._reaches", counting_walk)
-        stab, divisibility, direct = self._query(gf8, f, self.PARAMS)
-        assert (_sweep.cache_info().misses, _sweep.cache_info().currsize) == (1, 1)
-        assert fixed_orbit_classes.cache_info().misses == 1
-        assert tested == [f]
-        canonical, _, reps = _sweep(gf8, f)
-        assert reps[0] == (None, f)
-        assert walked == [(reps, poly_frobenius(gf8, canonical, 7))]
-        # the answers, against f's materialized orbit
-        members = _pgl_orbit_members(gf8, f)
-        assert len(stab) * len(members) == gf8.order**3 - gf8.order
-        assert divisibility == (not set(divisor_polynomials(self.PARAMS)).isdisjoint(members))
-        assert direct == (poly_frobenius(gf8, f, 7) in members)
+        for kind, f in seeds.items():
+            for memo in (_plan, _sweep, _irreducible_seed, fixed_orbit_classes):
+                memo.cache_clear()
+            tested.clear()
+            walked.clear()
+            # the first query at these Parameters builds their divisor classes too
+            stab, divisibility, direct = self._query(gf8, f, self.PARAMS)
+            assert (_sweep.cache_info().misses, _sweep.cache_info().currsize) == (1, 1)
+            assert fixed_orbit_classes.cache_info().misses == 1
+            assert tested == [f]
+            canonical, _, reps = _sweep(gf8, f)
+            assert reps[0] == (None, f)
+            assert walked == ([(reps, poly_frobenius(gf8, canonical, 7))] if kind == "least image" else []), kind
+            # the answers, against f's materialized orbit
+            members = _pgl_orbit_members(gf8, f)
+            assert len(stab) * len(members) == gf8.order**3 - gf8.order
+            assert divisibility == (not set(divisor_polynomials(self.PARAMS)).isdisjoint(members))
+            assert direct == (poly_frobenius(gf8, f, 7) in members)
+            if kind != "least image":
+                assert direct == (kind == "divisor image")
 
     def test_divisor_classes_leave_the_seed_memo_alone(self, gf8, rng):
         f = random_irreducible(gf8, 7, rng)
@@ -846,6 +867,14 @@ class TestSeedMemo:
         # f is still the memo's entry
         assert orbit_canonical(gf8, f) == canonical
         assert _sweep.cache_info().hits == before.hits + 1
+
+    def test_unknown_method_is_named_before_the_seed_is_tested(self, gf8, monkeypatch):
+        tested = []
+        monkeypatch.setattr("goppa_orbits.action.is_irreducible", lambda gf, g: tested.append(g))
+        reducible = poly_mul(gf8, (1, 1, 0, 1), (1, 1, 0, 0, 1))
+        with pytest.raises(ValueError, match=r"^unknown method 'bogus'$"):
+            is_orbit_sigma_r_fixed(reducible, self.PARAMS, "bogus")
+        assert tested == []
 
     def test_stabilizer_list_is_fresh(self, gf8, rng):
         for f, size in ((self.SEVEN_FOLD, 7), (random_irreducible(gf8, 7, rng), 1)):
