@@ -25,9 +25,9 @@ materialize no orbit; its guard prices it in Taylor shifts.  Four memos
 keep one entry each: `_plan`, `_sweep` (with the seed's representatives),
 `_irreducible_seed` and `fixed_orbit_classes`, whose divisor sweeps skip
 the seed memo.  So `stabilizer` and both fixedness methods asked about one
-f sweep f once, test it once and walk its representatives at most once
-more, when no image sigma^(jr)(c) of its canonical form c is below c and
-sigma^r(c) != c.
+f sweep f once, test it once and run the sweep's kernel `_least` over its
+representatives at most once more, read through sigma^r, when no image
+sigma^(jr)(c) of its canonical form c is below c and sigma^r(c) != c.
 """
 
 from __future__ import annotations
@@ -68,10 +68,15 @@ def mat_det(gf: GF2m, mat: Matrix) -> int:
     return gf.rows[a][d] ^ gf.rows[b][c]
 
 
-def mat_canonical(gf: GF2m, mat: Matrix) -> Matrix:
-    """Scale so the first nonzero entry of (a, b, c, d) equals 1."""
+def _check_nonsingular(gf: GF2m, mat: Matrix) -> None:
+    """Refuse a matrix with an entry outside gf or a zero determinant."""
     if mat_det(gf, mat) == 0:
         raise ValueError(f"matrix {mat} is singular")
+
+
+def mat_canonical(gf: GF2m, mat: Matrix) -> Matrix:
+    """Scale so the first nonzero entry of (a, b, c, d) equals 1."""
+    _check_nonsingular(gf, mat)
     lead = next(e for e in mat if e)
     if lead == 1:
         return mat
@@ -175,11 +180,13 @@ def _pgl_position(mat: Matrix):
 def act_element(tower: Tower, g: SemiLinear, alpha: int) -> int:
     """Möbius image (a*alpha^(2^i) + b) / (c*alpha^(2^i) + d).
 
-    alpha must have degree >= 2 over the base field, so the denominator
-    cannot vanish.  Applied with every matrix, it is the oracle for
-    `_element_orbit`.
+    The matrix must be nonsingular and alpha of degree >= 2 over the base
+    field, so the denominator cannot vanish.  Applied with every matrix,
+    it is the oracle for `_element_orbit`.
     """
-    (a, b, c, d), i = g
+    mat, i = g
+    _check_nonsingular(tower.base, mat)
+    a, b, c, d = mat
     ext = tower.ext
     w = ext.frobenius(alpha, i)
     num = ext.mul(tower.embed(a), w) ^ tower.embed(b)
@@ -198,11 +205,13 @@ def act_poly(gf: GF2m, mat: Matrix, f: Poly, frob: int = 0) -> Poly:
     of the input is trusted here (`pgl_orbit` tests it on every call,
     `is_orbit_sigma_r_fixed` once per seed through a one-entry memo;
     `orbit_canonical` and `stabilizer` accept any monic seed with no
-    root in F_q), and a dropped degree raises since it can only mean a
-    root in F_q or an arithmetic bug.  Applied with every matrix, it is
-    the oracle for `_pgl_orbit_members` and `_sweep`.
+    root in F_q).  A singular matrix is refused first; a dropped degree
+    then raises since it can only mean a root in F_q or an arithmetic
+    bug.  Applied with every matrix, it is the oracle for
+    `_pgl_orbit_members` and `_sweep`.
     """
-    gf._check(*mat, *f)
+    _check_nonsingular(gf, mat)
+    gf._check(*f)
     r = len(f) - 1
     if r < 1 or f[r] != 1:
         raise ValueError("action requires a monic polynomial of degree >= 1")
@@ -388,35 +397,54 @@ def _pgl_orbit_members(gf: GF2m, f: Poly) -> tuple[Poly, ...]:
 def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...], tuple[tuple[int | None, Poly], ...]]:
     """The least member of PGL(f), every canonical A with act_poly(A, f) equal to it, and f's representatives.
 
-    f is a seed `_check_seed` passed; the one-entry memo also keeps the
-    representatives that `_reaches` walks for the direct fixedness test.
+    f is a seed `_check_seed` passed; the one-entry memo keeps the
+    representatives for the direct fixedness test too.  The hits, one per
+    element of Stab(f), come from `_least` with a bound above every element.
+    """
+    reps = _representatives(gf, f)
+    least, hits = _least(gf, reps, (gf.order,) * (len(f) - 1), gf._log)
+    # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
+    # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
+    mats = tuple(
+        (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, gf.rows[gamma][v] ^ 1, u, gf.rows[gamma][u]))
+        for gamma, v, u in hits
+    )
+    return least + (1,), mats, reps
 
-    Each coset representative h goes through translations x -> x + v,
-    then scalings x -> u x; made monic, c_j becomes c_j u^(j-r) / h_r (a
-    shift keeps the lead h_r).  Only the u minimising the top nonzero c_j
-    below x^r can reach the least member.  For odd r the translation
-    v = h_(r-1) / h_r clears x^(r-1) (r = 1 in characteristic 2), and the
-    least member has that coefficient zero; for even r, c_(r-1) = h_(r-1)
-    whatever v is, so every v is tried.  A candidate is compared with the
-    least so far from x^(r-1) down (x^(r-2) at odd r, as v cleared
-    x^(r-1)), computing each c_j only when reached; only a new least is
-    built in full.  The hits are the group elements sending f to the
-    least member, so there are |Stab(f)| of them.  Per
-    seed: q Taylor shifts to build the representatives, then q + 1
+
+def _least(gf: GF2m, reps: tuple[tuple[int | None, Poly], ...], bound: tuple[int, ...], flog: list[int]) -> tuple:
+    """The least member of sigma(PGL(f)) that is at most bound, and its hits (gamma, v, u).
+
+    reps are f's representatives as `_sweep` keeps them, bound and the
+    member are their coefficients below x^r, and flog[a] = log sigma(a)
+    for a field automorphism sigma.  With no member at most bound, bound
+    comes back with no hits.
+
+    Each representative h goes through translations x -> x + v, then
+    scalings x -> u x; made monic and read through sigma, c_j becomes
+    sigma(c_j) u^(j-r) / sigma(h_r) (a shift keeps the lead h_r).  Only the
+    u minimising the top nonzero c_j below x^r can reach the least
+    member.  For odd r the translation v = h_(r-1) / h_r clears x^(r-1)
+    (r = 1 in characteristic 2), and the least member has that
+    coefficient zero; for even r, c_(r-1) = h_(r-1) whatever v is, so every
+    v is tried.  A candidate is compared with the least so far from
+    x^(r-1) down (x^(r-2) at odd r, as v cleared x^(r-1)), computing each
+    c_j only when reached; only a new least is built in full.  q + 1
     candidates at odd r and q(q + 1) at even r, most refused within the
     first two or three coefficients.
     """
-    r = len(f) - 1
+    r = len(bound)
     plan = _plan(gf, r)
     powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least
-    rows, exp, log = gf.rows, gf._exp, gf._log
-    # best[j]: the x^j coefficient of the least candidate so far; q is above every element.
-    best, hits, reps = [gf.order] * r, [], _representatives(gf, f)
+    exp, log = gf._exp, gf._log
+    # best[j]: the x^j coefficient of the least candidate so far, bound's until one is at most it
+    best, hits = list(bound), []
+    odd, start, shifts = r % 2, r - 1 - r % 2, range(gf.order)
     for gamma, h in reps:
-        lead = log[h[r]]
+        lead = flog[h[r]]
         # exp has 2s entries, so a negative log difference indexes the right power.
-        for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
-            pw, top, below = powers[v], r - 1 - r % 2, False
+        for v in (exp[log[h[r - 1]] - log[h[r]]] if h[r - 1] else 0,) if odd else shifts:
+            pw, top, below = powers[v], start, False
             # c(0) = 0 would be a root in F_q, which the degree check refused.
             while True:
                 ct = h[top]
@@ -427,10 +455,13 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...], tuple[tuple[int
                 # a zero where best is not: below it whatever the scaling
                 below = below or best[top] > 0
                 top -= 1
-            for k in least[top][log[ct] - lead]:
+            # a nonzero where best is zero: above it whatever the scaling
+            if not (below or best[top]):
+                continue
+            for k in least[top][flog[ct] - lead]:
                 off, i, ci = offsets[k], top, ct
                 while not below:
-                    val = exp[log[ci] - lead - off[i]] if ci else 0
+                    val = exp[flog[ci] - lead - off[i]] if ci else 0
                     if val != best[i]:
                         below = val < best[i]
                         break
@@ -443,60 +474,9 @@ def _sweep(gf: GF2m, f: Poly) -> tuple[Poly, tuple[Matrix, ...], tuple[tuple[int
                         ci ^= pw[d][h[j]]
                 if below:
                     c = _taylor_shift(plan, h, v)
-                    best = [exp[log[cj] - lead - o] if cj else 0 for cj, o in zip(c, off)]
+                    best = [exp[flog[cj] - lead - o] if cj else 0 for cj, o in zip(c, off)]
                     hits, below = [(gamma, v, exp[k])], False
-    # x -> u x + v is (1, v; 0, u) in act_poly's convention, and
-    # x -> 1/(u x + v) + gamma is (v, gamma v + 1; u, gamma u).
-    mats = tuple(
-        (1, v, 0, u) if gamma is None else mat_canonical(gf, (v, rows[gamma][v] ^ 1, u, rows[gamma][u]))
-        for gamma, v, u in hits
-    )
-    return tuple(best) + (1,), mats, reps
-
-
-def _reaches(gf: GF2m, reps: tuple[tuple[int | None, Poly], ...], target: Poly) -> bool:
-    """Is target in PGL(f)?  `_sweep`'s candidates, each compared with target alone.
-
-    reps are f's representatives as `_sweep` keeps them; target is monic of
-    degree r, an x^0 term and, at odd r, no x^(r-1) term, so one translation
-    per representative can reach it.  A candidate matches at t, target's top
-    index below r, for the u = g^k that scale c_t to target_t: as 1 is the
-    least nonzero element, the plan's least[t] row at log c_t - log h_r -
-    log target_t, unless its first k misses target_t and so does every k.
-    """
-    r = len(target) - 1
-    t = max(j for j in range(r) if target[j])
-    plan = _plan(gf, r)
-    powers, terms, offsets, least = plan.powers, plan.terms, plan.offsets, plan.least[t]
-    s, exp, log = gf.mult_order, gf._exp, gf._log
-    want = log[target[t]]
-    for _, h in reps:
-        lead = log[h[r]]
-        for v in (exp[log[h[r - 1]] - lead] if h[r - 1] else 0,) if r % 2 else range(gf.order):
-            pw = powers[v]
-            for i in range(r - 1 - r % 2, t - 1, -1):
-                ci = h[i]
-                for j, d in terms[i]:
-                    ci ^= pw[d][h[j]]
-                if ci:
-                    break
-            if i != t or not ci:
-                continue
-            ks = least[(log[ci] - lead - want) % s]
-            if exp[log[ci] - lead - offsets[ks[0]][t]] != target[t]:
-                continue
-            for k in ks:
-                off, i = offsets[k], t
-                while i:
-                    i -= 1
-                    ci = h[i]
-                    for j, d in terms[i]:
-                        ci ^= pw[d][h[j]]
-                    if (exp[log[ci] - lead - off[i]] if ci else 0) != target[i]:
-                        break
-                else:
-                    return True
-    return False
+    return tuple(best), hits
 
 
 def orbit_canonical(gf: GF2m, f: Poly) -> Poly:
@@ -576,13 +556,14 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
     Such divisors exist only when gcd(r, n) = 1; elsewhere this method
     raises ValueError.  method="direct": is sigma^r f itself an orbit
     member, i.e. do f and sigma^r f share a canonical form?  As
-    sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when sigma^r(c)
-    lies in PGL(f), c f's canonical form: an image sigma^(jr)(c) below c
-    answers False, sigma^r(c) = c True, and otherwise `_reaches` tests
-    sigma^r(c) on the sweep's least-scaling rows.  Where both methods apply
-    they must agree.  The method is checked first; f must have degree r and
-    be irreducible, which the memoized Ben-Or test checks once per seed; a
-    reducible seed is refused on every call.
+    sigma^r(PGL(f)) = PGL(sigma^r f), that holds exactly when c, f's
+    canonical form, lies in sigma^r(PGL(f)): an image sigma^(jr)(c) below
+    c answers False, sigma^r(c) = c True, and otherwise the sweep's kernel
+    runs once more over f's representatives, read through sigma^r and
+    bounded by c, and answers True just when it reaches c.  Where both
+    methods apply they must agree.  The method is checked first; f must
+    have degree r and be irreducible, which the memoized Ben-Or test
+    checks once per seed; a reducible seed is refused on every call.
     """
     if method not in ("divisibility", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -607,7 +588,9 @@ def is_orbit_sigma_r_fixed(f: Poly, params: Parameters, method: str = "divisibil
             return False
         if below is None and k == params.r:  # sigma^r(c) = c
             return True
-    return _reaches(gf, reps, poly_frobenius(gf, canonical, params.r))
+    flog = [(log << params.r % gf.m) % gf.mult_order for log in gf._log]  # log sigma^r(a) = 2^r log a
+    least, hits = _least(gf, reps, canonical[:-1], flog)
+    return bool(hits) and least == canonical[:-1]
 
 
 @lru_cache(maxsize=1)
@@ -656,7 +639,7 @@ def _element_coset_representatives(tower: Tower, alpha: int, degree: int) -> tup
 
 def _affine_images(ext: GF2m, reps: list[int], base: tuple[int, ...]) -> frozenset[int]:
     """{a * rep + b : rep in reps, a != 0} for a, b in the embedded base field (base[0] = 0)."""
-    scaled = [ext.rows[rep][a] for rep in reps for a in base[1:]]
+    scaled = [row[a] for row in map(ext.rows.__getitem__, reps) for a in base[1:]]
     return frozenset(s ^ b for s in scaled for b in base)
 
 

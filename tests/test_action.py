@@ -213,6 +213,14 @@ class TestElementAction:
             gh = pgammal_compose(t.base, rn, g, h)
             assert act_element(t, gh, alpha) == act_element(t, g, act_element(t, h, alpha))
 
+    @pytest.mark.parametrize("mat", [(1, 1, 1, 1), (0, 0, 0, 0), (2, 4, 1, 2)])
+    def test_singular_matrix_rejected(self, tower_3_5, mat):
+        # (1, 1, 1, 1) used to send alpha to 1, and the zero matrix to blame alpha's degree
+        alpha = 2
+        assert tower_3_5.degree_over(alpha) == 5
+        with pytest.raises(ValueError, match=rf"^matrix \({', '.join(map(str, mat))}\) is singular$"):
+            act_element(tower_3_5, (mat, 0), alpha)
+
     def test_degree_preserved(self, tower_3_5, rng):
         t = tower_3_5
         for _ in range(100):
@@ -285,6 +293,15 @@ class TestPolyAction:
             with pytest.raises(ValueError, match="is not an element of GF"):
                 call()
 
+    @pytest.mark.parametrize("mat", [(1, 1, 1, 1), (0, 0, 0, 0), (2, 4, 1, 2)])
+    def test_singular_matrix_rejected(self, gf8, mat):
+        # (1, 1, 1, 1) used to return (x + 1)^5, and the zero matrix to raise the arithmetic-bug class
+        f = (1, 0, 0, 1, 0, 1)
+        assert is_irreducible(gf8, f)
+        for frob in (0, 1):
+            with pytest.raises(ValueError, match=rf"^matrix \({', '.join(map(str, mat))}\) is singular$"):
+                act_poly(gf8, mat, f, frob)
+
     def test_degree_drop_raises(self, gf8):
         # (x + 1) * x is reducible with roots in F_q; a matrix sending a
         # root to infinity drops the degree and must raise
@@ -343,9 +360,9 @@ class TestOrbitsAndStabilizers:
             (lambda: stabilizer(gf8, (0, 0, 0, 1)), 0),  # x^3
             (lambda: orbit_canonical(gf8, (5, 4, 4, 1)), 5),  # (x + 5)(x^2 + x + 1)
             (lambda: stabilizer(gf8, (5, 4, 4, 1)), 5),
-            # the representatives the membership walk takes refuse the same seeds
-            (lambda: action._reaches(gf8, action._representatives(gf8, (0, 0, 0, 1)), (1, 1, 0, 1)), 0),
-            (lambda: action._reaches(gf8, action._representatives(gf8, (5, 4, 4, 1)), (1, 1, 0, 1)), 5),
+            # the representatives the sweep keeps, and the direct walk reuses, refuse the same seeds
+            (lambda: action._representatives(gf8, (0, 0, 0, 1)), 0),
+            (lambda: action._representatives(gf8, (5, 4, 4, 1)), 5),
         ]
         for call, root in cases:
             with pytest.raises(ValueError, match=rf"^the seed has the root {root} in F_q, so it is reducible$"):
@@ -709,19 +726,28 @@ class TestSigmaRFixedOrbits:
                 ), (n, r, f)
 
     @pytest.mark.parametrize("m, r", [(1, 5), (1, 6), (1, 11), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)])
-    def test_reaches_is_orbit_membership(self, m, r, rng):
-        # every monic target with a nonzero x^0 coefficient (at odd r, none at
-        # x^(r-1)), irreducible or not, against up to three materialized orbits
+    def test_least_is_the_smaller_of_bound_and_orbit_minimum(self, m, r, rng):
+        # every monic bound with a nonzero x^0 coefficient (at odd r, none at x^(r-1)),
+        # irreducible or not, against up to three materialized orbits and their sigma^k-images
         gf = make_field(m)
         head = product(range(1, gf.order), *[range(gf.order)] * (r - 2), [0] if r % 2 else range(gf.order))
-        targets = [t + (1,) for t in head]
+        bounds = [t + (1,) for t in head]
+        keys = list(map(poly_sort_key, bounds))
         orbits = list(pgl_orbits(gf, r))
         met = set()
         for orbit in rng.sample(orbits, min(3, len(orbits))):
             reps = action._representatives(gf, orbit.members[rng.randrange(orbit.size)])
-            found = [action._reaches(gf, reps, t) for t in targets]
-            assert found == [t in orbit for t in targets]
-            met.update(found)
+            k = rng.randrange(1, m) if m > 1 else 0
+            frobenius_log = [(log << k) % gf.mult_order for log in gf._log]
+            twisted = [poly_frobenius(gf, g, k) for g in orbit.members]
+            for flog, image in ((gf._log, orbit.members), (frobenius_log, twisted)):
+                c = min(image, key=poly_sort_key)
+                for t, key in zip(bounds, keys):
+                    least, hits = action._least(gf, reps, t[:-1], flog)
+                    reached = poly_sort_key(c) <= key
+                    assert least == (c if reached else t)[:-1]
+                    assert len(hits) * orbit.size == (gf.order**3 - gf.order if reached else 0)
+                    met.add(reached)
         assert met == {False, True}
 
     @pytest.mark.parametrize("n, r", [(2, 5), (3, 4), (2, 6), (4, 3), (3, 3), (2, 4)])
@@ -813,8 +839,8 @@ class TestSeedMemo:
         )
 
     def test_one_query_sweeps_once_tests_once_and_walks_at_most_once(self, gf8, rng, monkeypatch):
-        # the direct method walks f's representatives toward sigma^r(c), c its canonical form,
-        # only when no image sigma^(jr)(c) lies below c and sigma^r(c) != c
+        # the direct method walks f's representatives again, asking whether sigma^r(PGL(f)) holds
+        # c, f's canonical form, only when no image sigma^(jr)(c) lies below c and sigma^r(c) != c
         seeds = {"divisor image": act_poly(gf8, random_matrix(gf8, rng), divisor_polynomials(self.PARAMS)[0])}
         while len(seeds) < 3:
             f = random_irreducible(gf8, 7, rng)
@@ -824,18 +850,20 @@ class TestSeedMemo:
                 below = min(map(poly_sort_key, images)) < poly_sort_key(c)
                 seeds.setdefault("image below" if below else "least image", f)
         tested, walked = [], []
-        real_walk = action._reaches
+        real_least = action._least
 
         def counting_test(gf, g):
             tested.append(tuple(g))
             return is_irreducible(gf, g)
 
-        def counting_walk(gf, reps, target):
-            walked.append((reps, target))
-            return real_walk(gf, reps, target)
+        def counting_least(gf, reps, bound, flog):
+            walked.append((reps, bound, flog))
+            return real_least(gf, reps, bound, flog)
 
         monkeypatch.setattr("goppa_orbits.action.is_irreducible", counting_test)
-        monkeypatch.setattr("goppa_orbits.action._reaches", counting_walk)
+        monkeypatch.setattr("goppa_orbits.action._least", counting_least)
+        # log sigma^7 = 2^(7 mod 3) log on GF(8)
+        frobenius_log = [(log << 1) % 7 for log in gf8._log]
         for kind, f in seeds.items():
             for memo in (_plan, _sweep, _irreducible_seed, fixed_orbit_classes):
                 memo.cache_clear()
@@ -848,7 +876,11 @@ class TestSeedMemo:
             assert tested == [f]
             canonical, _, reps = _sweep(gf8, f)
             assert reps[0] == (None, f)
-            assert walked == ([(reps, poly_frobenius(gf8, canonical, 7))] if kind == "least image" else []), kind
+            # the kernel runs for f's sweep, then once more, from c down, only for the least image
+            # (the divisor sweeps call it with the divisors' representatives)
+            own = [call for call in walked if call[0] is reps]
+            assert own[0] == (reps, (8,) * 7, gf8._log)
+            assert own[1:] == ([(reps, canonical[:-1], frobenius_log)] if kind == "least image" else []), kind
             # the answers, against f's materialized orbit
             members = _pgl_orbit_members(gf8, f)
             assert len(stab) * len(members) == gf8.order**3 - gf8.order

@@ -72,6 +72,6 @@ def test_orbit_walks_need_no_sweep(monkeypatch, capsys, name):
         raise AssertionError("a coset sweep ran")
 
     monkeypatch.setattr(action, "_sweep", refuse)
-    monkeypatch.setattr(action, "_reaches", refuse)
+    monkeypatch.setattr(action, "_least", refuse)
     assert main(CASES[name].split()) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode("utf-8")
